@@ -47,18 +47,18 @@ def softmax_rows(m) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def softmax_inplace(v: np.ndarray) -> np.ndarray:
-    """Overwrite a non-empty float64 vector with its softmax.
+def softmax_inplace(a: np.ndarray) -> np.ndarray:
+    """Overwrite a float64 array with its softmax along the last axis.
 
     Same operation order as :func:`softmax_rows` (max subtraction, exp,
-    normalize), so the two agree bitwise; this one skips validation and
-    allocates nothing, which is what the per-step decode loop needs. The
-    caller owns the buffer and must copy values that outlive the next call.
+    normalize), so the two agree bitwise row for row; this one skips
+    validation and returns its input, which is what the per-layer decode
+    step needs. The last axis must be non-empty.
     """
-    np.subtract(v, v.max(), out=v)
-    np.exp(v, out=v)
-    v /= v.sum()
-    return v
+    np.subtract(a, a.max(axis=-1, keepdims=True), out=a)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
 
 
 def attention(q, keys, values, scale: float | None = None) -> np.ndarray:

@@ -72,21 +72,32 @@ class RandomPolicy(EvictionPolicy):
 
     name = "random"
 
-    def select(self, cache, line, layer, head, part):
-        event_seed = np.random.SeedSequence([self.seed, line, layer, head])
-        return random_evict(part.mid_idx, self.spec.width, event_seed)
+    def select(self, cache, line, layer, mid):
+        mid_idx = np.arange(mid.start, mid.stop)
+        return np.stack(
+            [
+                random_evict(
+                    mid_idx,
+                    self.spec.width,
+                    np.random.SeedSequence([self.seed, line, layer, head]),
+                )
+                for head in range(cache.kv_heads)
+            ]
+        )
 
 
 class StreamingPolicy(EvictionPolicy):
-    """Sink plus recency window; ignores attention entirely."""
+    """Sink plus recency window; ignores attention entirely.
+
+    Evicting the oldest line of the mid region leaves exactly the sinks and
+    the most recent positions that :func:`streaming_retain` names.
+    """
 
     name = "streaming"
 
-    def select(self, cache, line, layer, head, part):
-        retained = streaming_retain(self.cfg, self.spec, line)
-        pos = cache.positions(layer, head)
-        evict_mask = ~np.isin(pos, retained)
-        return np.flatnonzero(evict_mask)
+    def select(self, cache, line, layer, mid):
+        oldest = np.arange(mid.start, mid.start + self.spec.width)
+        return np.broadcast_to(oldest, (cache.kv_heads, oldest.size))
 
 
 _POLICIES = {

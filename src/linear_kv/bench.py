@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -196,15 +196,7 @@ def run_sweep(
             effective = Fraction(1) if policy_name == "full" else Fraction(rho)
             cfg = budget_from_ratio(spec, effective, n_init=n_init, recent_lines=recent_lines)
             for seed in seeds:
-                mc = ModelConfig(
-                    layers=base.layers,
-                    heads=base.heads,
-                    kv_heads=base.kv_heads,
-                    head_dim=base.head_dim,
-                    vocab=base.vocab,
-                    cond_len=base.cond_len,
-                    seed=seed,
-                )
+                mc = replace(base, seed=seed)
                 decoder = RasterDecoder(mc)
                 trace = decoder.generate(
                     synth_condition(mc), spec, cfg, make_policy(policy_name)

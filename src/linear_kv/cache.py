@@ -1,16 +1,17 @@
-"""Per-head visual KV store with raster positions and physical compaction.
+"""Dense per-layer visual KV store with raster positions and physical compaction.
 
-Every (layer, kv head) pair owns an independent store, so eviction choices
-can diverge across heads while lengths stay uniform. Conditional entries
-live in a separate immutable block: no eviction index can reach them.
-Positions are original raster indices and stay strictly increasing through
-any append/compact sequence, which is what lets the partition logic reason
-in positions rather than ages.
+Each layer owns one fixed-capacity block per array: keys and values of shape
+``(kv_heads, cond_len + capacity, head_dim)`` and positions of shape
+``(kv_heads, capacity)``, with one length shared by the layer's kv heads.
+Heads may evict different entries, but every head evicts the same number,
+so their lengths never diverge. The conditional block is a read-only prefix
+of the key and value arrays; eviction indices count from the end of it, so
+no index can reach it. Positions are original raster indices and stay
+strictly increasing through any append/compact sequence, which makes the
+anchor / mid / recent split a pair of slice bounds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,183 +21,175 @@ from .grid import BudgetConfig, GridSpec
 SNAPSHOT_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """Store indices split into anchor block, evictable mid region, and
-    recent window. The three index sets are disjoint and cover the store."""
+def drop_entries(stores, stop: int, evict: np.ndarray) -> None:
+    """Delete per-row store indices from every array in ``stores``, in place.
 
-    init_idx: np.ndarray
-    mid_idx: np.ndarray
-    rec_idx: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.init_idx.size + self.mid_idx.size + self.rec_idx.size
-
-
-class _HeadStore:
-    __slots__ = ("keys", "values", "positions", "length")
-
-    def __init__(self, head_dim: int, capacity: int):
-        self.keys = np.empty((capacity, head_dim))
-        self.values = np.empty((capacity, head_dim))
-        self.positions = np.empty(capacity, dtype=np.int64)
-        self.length = 0
-
-    def ensure(self, needed: int) -> None:
-        cap = self.positions.shape[0]
-        if needed <= cap:
-            return
-        new_cap = max(needed, 2 * cap)
-        for name in ("keys", "values"):
-            old = getattr(self, name)
-            grown = np.empty((new_cap, old.shape[1]))
-            grown[: self.length] = old[: self.length]
-            setattr(self, name, grown)
-        grown_pos = np.empty(new_cap, dtype=np.int64)
-        grown_pos[: self.length] = self.positions[: self.length]
-        self.positions = grown_pos
+    Axis 1 of each array is the store axis, filled up to ``stop``. ``evict``
+    holds one strictly increasing row of indices per kv head; the survivors
+    keep their order and shift down over the gaps with one masked gather per
+    array, starting at the first evicted index.
+    """
+    rows, k = evict.shape
+    if k == 0:
+        return
+    start = int(evict[:, 0].min())
+    keep = np.ones((rows, stop - start), dtype=bool)
+    keep[np.arange(rows)[:, None], evict - start] = False
+    shape = (rows, stop - start - k)
+    for a in stores:
+        # one statement, so each gathered copy is freed before the next
+        a[:, start : stop - k] = a[:, start:stop][keep].reshape(*shape, *a.shape[2:])
 
 
 class VisualKVCache:
     """Compacted key/value store for the visual tokens of one decode stream."""
 
-    def __init__(self, layers: int, kv_heads: int, head_dim: int, capacity: int = 16):
+    def __init__(
+        self, layers: int, kv_heads: int, head_dim: int, cond_len: int, capacity: int
+    ):
         self.layers = layers
         self.kv_heads = kv_heads
         self.head_dim = head_dim
-        self._stores = {
-            (l, h): _HeadStore(head_dim, capacity)
-            for l in range(layers)
-            for h in range(kv_heads)
-        }
-        self._cond: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._cond_len: int | None = None
+        self.cond_len = cond_len
+        self.capacity = capacity
+        # one block per layer; nothing past a layer's length is ever read,
+        # so the blocks start uninitialized
+        block = (kv_heads, cond_len + capacity, head_dim)
+        self._keys = [np.empty(block) for _ in range(layers)]
+        self._values = [np.empty(block) for _ in range(layers)]
+        self._positions = [np.empty((kv_heads, capacity), dtype=np.int64) for _ in range(layers)]
+        self._len = [0] * layers
+        # last appended position per layer; every head receives it, so no
+        # head holds a later one
+        self._last = [-1] * layers
+        self._cond_set = [False] * layers
 
     # -- conditional block ---------------------------------------------------
 
-    def set_conditional(self, layer: int, head: int, keys, values) -> None:
-        """Install the immutable conditional block for one head. Once per head."""
-        if (layer, head) in self._cond:
-            raise LinearKVError("conditional-already-set", f"layer {layer} head {head}")
-        k = np.array(keys, dtype=np.float64)
-        v = np.array(values, dtype=np.float64)
-        if k.ndim != 2 or k.shape != v.shape or k.shape[1] != self.head_dim:
-            raise LinearKVError("shape-mismatch", f"conditional block {k.shape} vs {v.shape}")
-        if self._cond_len is None:
-            self._cond_len = k.shape[0]
-        elif k.shape[0] != self._cond_len:
-            raise LinearKVError("shape-mismatch", "conditional length differs across heads")
-        k.setflags(write=False)
-        v.setflags(write=False)
-        self._cond[layer, head] = (k, v)
+    def set_conditional(self, layer: int, keys, values) -> None:
+        """Install one layer's conditional block, ``(kv_heads, cond_len, d)``. Once per layer."""
+        if self._cond_set[layer]:
+            raise LinearKVError("conditional-already-set", f"layer {layer}")
+        k = np.asarray(keys, dtype=np.float64)
+        v = np.asarray(values, dtype=np.float64)
+        want = (self.kv_heads, self.cond_len, self.head_dim)
+        if k.shape != want or v.shape != want:
+            raise LinearKVError(
+                "shape-mismatch", f"conditional block {k.shape} / {v.shape}, expected {want}"
+            )
+        self._keys[layer][:, : self.cond_len] = k
+        self._values[layer][:, : self.cond_len] = v
+        self._cond_set[layer] = True
 
-    def conditional(self, layer: int, head: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._cond[layer, head]
-
-    @property
-    def cond_len(self) -> int:
-        return self._cond_len or 0
+    def conditional(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of one layer's conditional keys and values."""
+        k = self._keys[layer][:, : self.cond_len]
+        v = self._values[layer][:, : self.cond_len]
+        k.flags.writeable = False
+        v.flags.writeable = False
+        return k, v
 
     # -- visual block --------------------------------------------------------
 
-    def heads(self):
-        return self._stores.keys()
-
     def visual_len(self, layer: int, head: int) -> int:
-        return self._stores[layer, head].length
+        return self._len[layer]
 
-    def positions(self, layer: int, head: int) -> np.ndarray:
-        s = self._stores[layer, head]
-        return s.positions[: s.length]
+    def positions(self, layer: int) -> np.ndarray:
+        """Raster positions of one layer's entries, ``(kv_heads, n)``."""
+        return self._positions[layer][:, : self._len[layer]]
 
-    def keys(self, layer: int, head: int) -> np.ndarray:
-        s = self._stores[layer, head]
-        return s.keys[: s.length]
+    def keys(self, layer: int) -> np.ndarray:
+        """Visual keys of one layer, ``(kv_heads, n, d)``, indexed like positions."""
+        return self._keys[layer][:, self.cond_len : self.cond_len + self._len[layer]]
 
-    def values(self, layer: int, head: int) -> np.ndarray:
-        s = self._stores[layer, head]
-        return s.values[: s.length]
+    def span(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values a decode step attends over: conditional block then visual."""
+        end = self.cond_len + self._len[layer]
+        return self._keys[layer][:, :end], self._values[layer][:, :end]
 
-    def append(self, layer: int, head: int, key, value, position: int) -> None:
-        """Append one entry; positions must strictly increase per head."""
-        s = self._stores[layer, head]
-        if s.length and position <= s.positions[s.length - 1]:
-            raise LinearKVError(
-                "position-regression",
-                f"position {position} not after {s.positions[s.length - 1]}",
-            )
+    def append(self, layer: int, keys, values, position: int) -> None:
+        """Append one entry per kv head (``keys``/``values`` are ``(kv_heads, d)``).
+
+        Positions must strictly increase, and the store holds at most
+        ``capacity`` entries: a policy that lets it outgrow its budget fails
+        here instead of writing past the end.
+        """
+        n = self._len[layer]
         if position < 0:
             raise LinearKVError("position-out-of-grid", f"position {position} negative")
-        s.ensure(s.length + 1)
-        s.keys[s.length] = key
-        s.values[s.length] = value
-        s.positions[s.length] = position
-        s.length += 1
+        if position <= self._last[layer]:
+            raise LinearKVError(
+                "position-regression", f"position {position} not after {self._last[layer]}"
+            )
+        if n == self.capacity:
+            raise LinearKVError(
+                "cache-full",
+                f"layer {layer} already holds its capacity of {self.capacity} entries",
+            )
+        slot = self.cond_len + n
+        self._keys[layer][:, slot] = keys
+        self._values[layer][:, slot] = values
+        self._positions[layer][:, n] = position
+        self._len[layer] = n + 1
+        self._last[layer] = position
 
-    def partition(
-        self, layer: int, head: int, spec: GridSpec, cfg: BudgetConfig, line: int
-    ) -> RegionPartition:
-        """Split one head's store for the end of ``line`` (1-based).
+    def partition(self, layer: int, spec: GridSpec, cfg: BudgetConfig, line: int) -> slice:
+        """The evictable mid region of one layer at the end of ``line`` (1-based).
 
         Anchors are positions below ``n_init``; the recent window is every
         non-anchor position in the last ``recent_lines`` lines counting
         ``line`` itself, never fewer than ``line`` alone; the mid region is
-        the remainder and is the only evictable part. Only meaningful once
-        the cache can have filled its budget, hence the activation guard.
+        the remainder and is the only evictable part. Positions are sorted,
+        so the three regions are consecutive store slices: ``[:mid.start]``,
+        ``mid`` and ``[mid.stop:]``. Only meaningful once the cache can have
+        filled its budget, hence the activation guard.
         """
         if line < cfg.budget // spec.width:
             raise LinearKVError(
                 "compression-not-active",
                 f"line {line} ends before the store can reach budget {cfg.budget}",
             )
-        s = self._stores[layer, head]
-        pos = s.positions[: s.length]
-        init_mask = pos < cfg.n_init
-        rec_mask = (pos >= (line - cfg.protected_lines) * spec.width) & ~init_mask
-        mid_mask = ~init_mask & ~rec_mask
-        idx = np.arange(s.length)
-        return RegionPartition(idx[init_mask], idx[mid_mask], idx[rec_mask])
+        pos = self.positions(layer)
+        lo = np.count_nonzero(pos < cfg.n_init, axis=1)
+        hi = np.count_nonzero(pos < (line - cfg.protected_lines) * spec.width, axis=1)
+        if (lo != lo[0]).any() or (hi != hi[0]).any():
+            raise LinearKVError(
+                "region-mismatch", f"kv heads of layer {layer} disagree on region bounds"
+            )
+        return slice(int(lo[0]), max(int(lo[0]), int(hi[0])))
 
-    def compact(
-        self,
-        layer: int,
-        head: int,
-        evict_idx,
-        partition: RegionPartition | None = None,
-    ) -> None:
-        """Physically remove the given store indices, preserving order.
+    def compact(self, layer: int, mid: slice, evict) -> np.ndarray:
+        """Physically remove store indices from one layer; returns their positions.
 
-        When a partition is supplied, indices outside its mid region are
-        refused: anchors, the recent window, and (structurally) the
-        conditional block are not evictable.
+        ``evict`` holds one strictly increasing row of indices per kv head,
+        every index inside the ``mid`` slice: anchors, the recent window and
+        (structurally) the conditional block are not evictable.
         """
-        evict = np.unique(np.asarray(evict_idx, dtype=np.int64))
-        s = self._stores[layer, head]
-        if evict.size == 0:
-            return
-        if evict.size != np.asarray(evict_idx).size:
-            raise LinearKVError("protected-region-eviction", "duplicate eviction indices")
-        if evict[0] < 0 or evict[-1] >= s.length:
+        evict = np.asarray(evict, dtype=np.int64)
+        n = self._len[layer]
+        if evict.ndim != 2 or evict.shape[0] != self.kv_heads:
+            raise LinearKVError(
+                "shape-mismatch",
+                f"eviction indices {evict.shape}, need one row per {self.kv_heads} kv heads",
+            )
+        pos = self._positions[layer]
+        if evict.shape[1] == 0:
+            return evict
+        if not (np.diff(evict, axis=1) > 0).all():
+            raise LinearKVError(
+                "protected-region-eviction", "eviction indices must be distinct and ascending"
+            )
+        lo, hi = max(mid.start, 0), min(mid.stop, n)
+        if evict[:, 0].min() < lo or evict[:, -1].max() >= hi:
             raise LinearKVError(
                 "protected-region-eviction",
-                f"eviction index outside store of length {s.length}",
+                f"indices {evict.tolist()} are outside the mid region [{lo}, {hi})",
             )
-        if partition is not None:
-            outside = np.setdiff1d(evict, partition.mid_idx)
-            if outside.size:
-                raise LinearKVError(
-                    "protected-region-eviction",
-                    f"indices {outside.tolist()} (positions "
-                    f"{s.positions[outside].tolist()}) are outside the mid region",
-                )
-        keep = np.ones(s.length, dtype=bool)
-        keep[evict] = False
-        new_len = int(keep.sum())
-        s.keys[:new_len] = s.keys[: s.length][keep]
-        s.values[:new_len] = s.values[: s.length][keep]
-        s.positions[:new_len] = s.positions[: s.length][keep]
-        s.length = new_len
+        positions = np.take_along_axis(pos, evict, axis=1)
+        c = self.cond_len
+        drop_entries((self._keys[layer][:, c:], self._values[layer][:, c:], pos), n, evict)
+        self._len[layer] = n - evict.shape[1]
+        return positions
 
     def snapshot(self) -> dict:
         """JSON-ready cache state.
@@ -206,14 +199,8 @@ class VisualKVCache:
             {"schema": 1, "cond_len": C,
              "heads": {"<layer>:<head>": {"length": n, "positions": [...]}}}
         """
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "cond_len": self.cond_len,
-            "heads": {
-                f"{l}:{h}": {
-                    "length": self.visual_len(l, h),
-                    "positions": self.positions(l, h).tolist(),
-                }
-                for (l, h) in self._stores
-            },
-        }
+        heads = {}
+        for layer in range(self.layers):
+            for head, row in enumerate(self.positions(layer).tolist()):
+                heads[f"{layer}:{head}"] = {"length": len(row), "positions": row}
+        return {"schema": SNAPSHOT_SCHEMA, "cond_len": self.cond_len, "heads": heads}

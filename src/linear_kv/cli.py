@@ -116,22 +116,31 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, text: str, parse) -> list:
+    try:
+        return [parse(item) for item in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("value-parse", f"--{flag} {text!r}: {exc}") from None
+
+
 def cmd_bench(args) -> int:
     cfg = _run_config(args)
     out = _out_dir(cfg)
-    spec, _, model = cfg.resolve()
-    rhos = [Fraction(r) for r in args.rhos.split(",")]
+    # the sweep's own --rhos replace the single-run rho, so only the grid
+    # and the model are taken from the run configuration
+    spec = GridSpec.parse(cfg.grid)
+    rhos = _parse_list("rhos", args.rhos, Fraction)
     policies = args.policies.split(",")
     for name in policies:
         if name not in POLICY_NAMES:
             raise ConfigError("unknown-policy", name)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _parse_list("seeds", args.seeds, int)
     summary = bench.run_sweep(
         spec,
         rhos,
         policies,
         seeds,
-        model=model,
+        model=cfg.model(),
         out_dir=out,
         n_init=cfg.n_init,
         recent_lines=cfg.recent_lines,

@@ -52,7 +52,10 @@ class RunConfig:
         cfg = budget_from_ratio(
             spec, rho, n_init=self.n_init, recent_lines=self.recent_lines
         )
-        model = ModelConfig(
+        return spec, cfg, self.model()
+
+    def model(self) -> ModelConfig:
+        return ModelConfig(
             layers=self.layers,
             heads=self.heads,
             kv_heads=self.kv_heads,
@@ -61,7 +64,6 @@ class RunConfig:
             cond_len=self.cond_len,
             seed=self.seed,
         )
-        return spec, cfg, model
 
 
 _INT_KEYS = frozenset(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import softmax_inplace, softmax_rows
+from .attention import softmax_inplace
 from .cache import VisualKVCache
 from .errors import ConfigError, LinearKVError
 from .grid import BudgetConfig, GridSpec
@@ -96,9 +96,6 @@ class DecodeState:
     evictions: list[EvictionEvent] = field(default_factory=list)
     last_hidden: np.ndarray | None = None
     last_step: dict | None = None
-    # logits workspace sized for the longest possible span, reused every
-    # head of every step so the hot loop allocates nothing span-shaped
-    scratch: np.ndarray | None = None
 
 
 def synth_condition(cfg: ModelConfig) -> list[int]:
@@ -116,20 +113,26 @@ class RasterDecoder:
         dim = cfg.model_dim
         qk = cfg.heads * cfg.head_dim
         kv = cfg.kv_heads * cfg.head_dim
+
+        def draw(rows, cols):
+            # scaled in place: no second weight-sized allocation per matrix
+            w = rng.standard_normal((rows, cols))
+            w /= math.sqrt(rows)
+            return w
+
         self.embed = rng.standard_normal((cfg.vocab, dim))
-        self.layers = []
-        for _ in range(cfg.layers):
-            self.layers.append(
-                _LayerWeights(
-                    wq=rng.standard_normal((dim, qk)) / math.sqrt(dim),
-                    wk=rng.standard_normal((dim, kv)) / math.sqrt(dim),
-                    wv=rng.standard_normal((dim, kv)) / math.sqrt(dim),
-                    wo=rng.standard_normal((qk, dim)) / math.sqrt(qk),
-                    w1=rng.standard_normal((dim, 2 * dim)) / math.sqrt(dim),
-                    w2=rng.standard_normal((2 * dim, dim)) / math.sqrt(2 * dim),
-                )
+        self.layers = [
+            _LayerWeights(
+                wq=draw(dim, qk),
+                wk=draw(dim, kv),
+                wv=draw(dim, kv),
+                wo=draw(qk, dim),
+                w1=draw(dim, 2 * dim),
+                w2=draw(2 * dim, dim),
             )
-        self.unembed = rng.standard_normal((dim, cfg.vocab)) / math.sqrt(dim)
+            for _ in range(cfg.layers)
+        ]
+        self.unembed = draw(dim, cfg.vocab)
         self.scale = 1.0 / math.sqrt(cfg.head_dim)
 
     # -- setup ---------------------------------------------------------------
@@ -149,33 +152,30 @@ class RasterDecoder:
         if any(not 0 <= t < self.cfg.vocab for t in cond):
             raise ConfigError("token-out-of-vocab", f"ids must be in [0, {self.cfg.vocab})")
         mc = self.cfg
-        capacity = cfg.budget if cfg.rho < 1 else spec.total
-        cache = VisualKVCache(mc.layers, mc.kv_heads, mc.head_dim, capacity=max(capacity, 1))
-        cond_k = [[[] for _ in range(mc.kv_heads)] for _ in range(mc.layers)]
-        cond_v = [[[] for _ in range(mc.kv_heads)] for _ in range(mc.layers)]
+        block = (mc.layers, mc.kv_heads, len(cond), mc.head_dim)
+        cond_k, cond_v = np.empty(block), np.empty(block)
         for j, tok in enumerate(cond):
             x = self.embed[tok]
             for li, lw in enumerate(self.layers):
-                q = (x @ lw.wq).reshape(mc.heads, mc.head_dim)
-                k = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
-                v = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
-                heads_out = np.zeros((mc.heads, mc.head_dim))
+                heads_out = np.zeros((mc.heads, 1, mc.head_dim))
                 if j > 0:
-                    for g in range(mc.kv_heads):
-                        kc = np.asarray(cond_k[li][g])
-                        vc = np.asarray(cond_v[li][g])
-                        for h in range(g * mc.group_size, (g + 1) * mc.group_size):
-                            probs = softmax_rows(kc @ q[h] * self.scale)
-                            heads_out[h] = probs @ vc
-                for g in range(mc.kv_heads):
-                    cond_k[li][g].append(k[g])
-                    cond_v[li][g].append(v[g])
+                    # one matrix-vector product per query head, batched: each
+                    # head's block is expanded from its kv head, which keeps
+                    # the per-head arithmetic of an unbatched loop
+                    q = (x @ lw.wq).reshape(mc.heads, mc.head_dim, 1)
+                    kc = np.repeat(cond_k[li, :, :j], mc.group_size, axis=0)
+                    vc = np.repeat(cond_v[li, :, :j], mc.group_size, axis=0)
+                    probs = softmax_inplace((kc @ q).transpose(0, 2, 1) * self.scale)
+                    heads_out = probs @ vc
+                cond_k[li, :, j] = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
+                cond_v[li, :, j] = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
                 x = x + heads_out.reshape(-1) @ lw.wo
                 x = x + np.tanh(x @ lw.w1) @ lw.w2
+        capacity = cfg.budget if cfg.rho < 1 else spec.total
+        cache = VisualKVCache(mc.layers, mc.kv_heads, mc.head_dim, len(cond), capacity)
         for li in range(mc.layers):
-            for g in range(mc.kv_heads):
-                cache.set_conditional(li, g, np.asarray(cond_k[li][g]), np.asarray(cond_v[li][g]))
-        policy.bind(mc.layers, mc.kv_heads, mc.group_size, spec, cfg, mc.seed)
+            cache.set_conditional(li, cond_k[li], cond_v[li])
+        policy.bind(cache, mc.group_size, spec, cfg, mc.seed)
         return DecodeState(
             spec=spec,
             cfg=cfg,
@@ -183,7 +183,6 @@ class RasterDecoder:
             cache=cache,
             cond_tokens=cond,
             trace_attention=trace_attention,
-            scratch=np.empty(len(cond) + max(capacity, 1)),
         )
 
     # -- decoding ------------------------------------------------------------
@@ -203,45 +202,30 @@ class RasterDecoder:
         prev = state.tokens[-1] if state.tokens else state.cond_tokens[-1]
         x = self.embed[prev]
         attn_trace = [] if state.trace_attention else None
+        grouped = (mc.kv_heads, mc.group_size, mc.head_dim)
         for li, lw in enumerate(self.layers):
             q = (x @ lw.wq).reshape(mc.heads, mc.head_dim)
             k = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
             v = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
-            # scale folded into the queries once; q itself stays raw because
-            # the guide queue applies the scale at eviction time
-            qs = q * self.scale
-            heads_out = np.empty((mc.heads, mc.head_dim))
-            layer_rec = (
-                {"kv_positions": [], "probs": []} if attn_trace is not None else None
-            )
-            for g in range(mc.kv_heads):
-                kc, vc = cache.conditional(li, g)
-                kv_keys = cache.keys(li, g)
-                kv_values = cache.values(li, g)
-                group = range(g * mc.group_size, (g + 1) * mc.group_size)
-                visual_mass = (
-                    np.zeros(kv_keys.shape[0]) if policy.wants_attention else None
-                )
-                logits = state.scratch[: cond_len + kv_keys.shape[0]]
-                for h in group:
-                    np.matmul(kc, qs[h], out=logits[:cond_len])
-                    np.matmul(kv_keys, qs[h], out=logits[cond_len:])
-                    probs = softmax_inplace(logits)
-                    heads_out[h] = probs[:cond_len] @ vc + probs[cond_len:] @ kv_values
-                    if visual_mass is not None:
-                        visual_mass += probs[cond_len:]
-                    if layer_rec is not None:
-                        layer_rec["probs"].append(probs.copy())
-                if visual_mass is not None:
-                    policy.observe_attention(li, g, visual_mass)
-                if layer_rec is not None:
-                    layer_rec["kv_positions"].append(cache.positions(li, g).tolist())
-                if policy.wants_queries:
-                    policy.observe_queries(li, g, q[g * mc.group_size : (g + 1) * mc.group_size])
-                cache.append(li, g, k[g], v[g], p)
-                policy.notify_append(li, g)
+            keys, values = cache.span(li)
+            # every query head of a kv head's group in one batched product;
+            # the scale is folded into the queries, while q itself stays raw
+            # because the guide queue applies the scale at eviction time
+            probs = softmax_inplace((q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1))
+            heads_out = probs @ values
+            if policy.wants_attention:
+                policy.observe_attention(li, probs[:, :, cond_len:].sum(axis=1))
             if attn_trace is not None:
-                attn_trace.append(layer_rec)
+                attn_trace.append(
+                    {
+                        "kv_positions": cache.positions(li).tolist(),
+                        "probs": list(probs.reshape(mc.heads, -1)),
+                    }
+                )
+            if policy.wants_queries:
+                policy.observe_queries(li, p, q)
+            cache.append(li, k, v, p)
+            policy.notify_append(li)
             x = x + heads_out.reshape(-1) @ lw.wo
             x = x + np.tanh(x @ lw.w1) @ lw.w2
         token = int(np.argmax(x @ self.unembed))

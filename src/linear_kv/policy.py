@@ -1,9 +1,10 @@
 """Line-guided progressive cache compression.
 
-Compression runs at end-of-line synchronization points once a head's store
-has filled its budget: partition the store into anchor / mid / recent
-regions, score the mid region, evict exactly one line's worth of the
-lowest-scoring entries, and leave one line of headroom for the next line.
+Compression runs at end-of-line synchronization points once the store has
+filled its budget: split each layer's store into anchor / mid / recent
+slices, score the mid slice of every kv head at once, evict exactly one
+line's worth of the lowest-scoring entries per head, and leave one line of
+headroom for the next line.
 
 The default scorer replays the queries collected while the current line was
 generated against the mid-region keys. Each key's saliency is its mean
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import RegionPartition, VisualKVCache
+from .cache import VisualKVCache, drop_entries
 from .errors import LinearKVError
 from .grid import BudgetConfig, GridSpec
 
@@ -36,37 +37,43 @@ class EvictionEvent:
 
 
 class GuideQueue:
-    """Per (layer, kv head) queries of the line currently being generated.
+    """Queries of the line currently being generated, one dense block per layer.
 
-    Holds at most ``width`` entries and is cleared at every line boundary.
-    With grouped-query attention each kv head receives the rows of all query
-    heads in its group, so one generated token contributes
-    ``heads // kv_heads`` rows.
+    Each layer's block is ``(kv_heads, width * group, d)``: with grouped-query
+    attention each kv head receives the rows of all query heads in its
+    group, so one generated token fills ``group`` rows of every kv head. It
+    holds at most one line of tokens and is cleared at every line boundary.
     """
 
-    def __init__(self, layers: int, kv_heads: int, width: int):
+    def __init__(self, layers: int, kv_heads: int, group: int, width: int, head_dim: int):
+        self.group = group
         self.width = width
-        self._blocks: dict[tuple[int, int], list[np.ndarray]] = {
-            (l, h): [] for l in range(layers) for h in range(kv_heads)
-        }
+        self.rows = np.empty((layers, kv_heads, width * group, head_dim))
+        self.tokens = [0] * layers
 
-    def push(self, layer: int, head: int, rows) -> None:
-        blocks = self._blocks[layer, head]
-        assert len(blocks) < self.width, "guide queue holds at most one line of queries"
-        blocks.append(np.atleast_2d(np.asarray(rows, dtype=np.float64)))
+    def push(self, layer: int, queries) -> None:
+        """Add one token's ``(kv_heads * group, d)`` query rows to ``layer``."""
+        n = self.tokens[layer]
+        if n == self.width:
+            raise LinearKVError(
+                "guide-queue-overflow", f"layer {layer} already holds {n} tokens, one line"
+            )
+        block = self.rows[layer]
+        g = self.group
+        block[:, n * g : (n + 1) * g] = np.reshape(queries, (block.shape[0], g, -1))
+        self.tokens[layer] = n + 1
 
-    def count(self, layer: int, head: int) -> int:
-        return len(self._blocks[layer, head])
+    def count(self, layer: int) -> int:
+        return self.tokens[layer]
 
-    def matrix(self, layer: int, head: int) -> np.ndarray:
-        blocks = self._blocks[layer, head]
-        if not blocks:
-            raise LinearKVError("guide-queue-empty", f"layer {layer} head {head}")
-        return np.vstack(blocks)
+    def matrix(self, layer: int) -> np.ndarray:
+        n = self.tokens[layer]
+        if n == 0:
+            raise LinearKVError("guide-queue-empty", f"layer {layer}")
+        return self.rows[layer, :, : n * self.group]
 
     def clear(self) -> None:
-        for blocks in self._blocks.values():
-            blocks.clear()
+        self.tokens = [0] * len(self.tokens)
 
 
 def saliency(guide_rows, mid_keys, scale: float | None = None) -> np.ndarray:
@@ -74,45 +81,47 @@ def saliency(guide_rows, mid_keys, scale: float | None = None) -> np.ndarray:
 
     The softmax runs over the mid-region keys only, which makes the result a
     probability vector: elementwise in [0, 1] and summing to one regardless
-    of how many guide rows vote.
+    of how many guide rows vote. Leading axes batch: ``(h, rows, d)`` guides
+    against ``(h, m, d)`` keys score ``h`` kv heads into ``(h, m)``.
     """
     guide = np.atleast_2d(np.asarray(guide_rows, dtype=np.float64))
     keys = np.atleast_2d(np.asarray(mid_keys, dtype=np.float64))
-    if guide.shape[0] == 0:
+    if guide.shape[-2] == 0:
         raise LinearKVError("guide-queue-empty", "no guide queries to score with")
-    if keys.shape[0] == 0:
+    if keys.shape[-2] == 0:
         raise LinearKVError("empty-mid-region", "no mid-region keys to score")
-    if guide.shape[1] != keys.shape[1]:
+    if guide.shape[-1] != keys.shape[-1] or guide.shape[:-2] != keys.shape[:-2]:
         raise LinearKVError(
-            "shape-mismatch", f"guide width {guide.shape[1]} vs key width {keys.shape[1]}"
+            "shape-mismatch", f"guide rows {guide.shape} vs mid keys {keys.shape}"
         )
     if scale is None:
-        scale = 1.0 / math.sqrt(guide.shape[1])
+        scale = 1.0 / math.sqrt(guide.shape[-1])
     if not (np.isfinite(guide).all() and np.isfinite(keys).all()):
         raise LinearKVError("non-finite-input", "guide rows or mid keys contain NaN or Inf")
     # one logits allocation for the whole scoring pass; the softmax runs
     # in place with the same operation order as softmax_rows
-    logits = (guide * scale) @ keys.T
-    np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits)
+    logits = (guide * scale) @ np.swapaxes(keys, -1, -2)
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits.mean(axis=0)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits.mean(axis=-2)
 
 
 def bottom_k(scores, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest scores, returned in ascending index order.
 
     Ties resolve to the smaller index; in store order that means the older
-    raster position goes first.
+    raster position goes first. A 2-D input selects per row.
     """
     s = np.asarray(scores, dtype=np.float64)
-    assert k >= 0
-    if k > s.size:
+    if k < 0:
+        raise LinearKVError("negative-k", f"cannot select {k} entries")
+    if k > s.shape[-1]:
         raise LinearKVError(
-            "insufficient-mid-tokens", f"need {k} eviction candidates, have {s.size}"
+            "insufficient-mid-tokens", f"need {k} eviction candidates, have {s.shape[-1]}"
         )
-    order = np.argsort(s, kind="stable")
-    return np.sort(order[:k])
+    order = np.argsort(s, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def should_compress(cfg: BudgetConfig, spec: GridSpec, line: int, head_len: int) -> bool:
@@ -132,39 +141,40 @@ def compress_end_of_line(
     select,
     on_compact=None,
 ) -> list[EvictionEvent]:
-    """Run one compression event over every (layer, kv head).
+    """Run one compression event over every layer.
 
-    ``select(layer, head, partition)`` must return exactly one line's worth
-    of store indices drawn from the partition's mid region;
-    ``on_compact(layer, head, evict_idx)`` lets scorers with per-entry state
-    shrink in lockstep. Heads are partitioned independently, so eviction
-    sets differ across heads while every post-compaction length equals
-    budget minus one line.
+    ``select(layer, mid)`` must return one strictly increasing row of
+    exactly one line's worth of store indices per kv head, drawn from the
+    ``mid`` slice; ``on_compact(layer, evict)`` lets scorers with per-entry
+    state shrink in lockstep. Heads choose independently, so eviction sets
+    differ across heads while every post-compaction length equals budget
+    minus one line.
     """
     width = spec.width
+    want = (cache.kv_heads, width)
     events = []
-    for layer, head in cache.heads():
-        part = cache.partition(layer, head, spec, cfg, line)
-        if part.mid_idx.size < width:
+    for layer in range(cache.layers):
+        mid = cache.partition(layer, spec, cfg, line)
+        if mid.stop - mid.start < width:
             raise LinearKVError(
                 "insufficient-mid-tokens",
-                f"mid region holds {part.mid_idx.size} entries, need {width} "
-                f"(layer {layer}, head {head}, line {line})",
+                f"mid region holds {mid.stop - mid.start} entries, need {width} "
+                f"(layer {layer}, line {line})",
             )
-        evict = np.asarray(select(layer, head, part), dtype=np.int64)
-        assert evict.size == width, "selection must evict exactly one line"
-        positions = cache.positions(layer, head)[evict]
-        cache.compact(layer, head, evict, part)
+        evict = np.asarray(select(layer, mid), dtype=np.int64)
+        if evict.shape != want:
+            raise LinearKVError(
+                "eviction-size-mismatch",
+                f"selection shaped {evict.shape}, need {want}: exactly one line per "
+                f"kv head (layer {layer}, line {line})",
+            )
+        positions = cache.compact(layer, mid, evict)
         if on_compact is not None:
-            on_compact(layer, head, evict)
-        events.append(
-            EvictionEvent(
-                line=line,
-                layer=layer,
-                head=head,
-                evicted_positions=sorted(int(p) for p in positions),
-                post_len=cache.visual_len(layer, head),
-            )
+            on_compact(layer, evict)
+        post_len = cache.visual_len(layer, 0)
+        events.extend(
+            EvictionEvent(line, layer, head, row, post_len)
+            for head, row in enumerate(positions.tolist())
         )
     return events
 
@@ -173,57 +183,44 @@ class AttentionMassTracker:
     """Running attention mass received by each cached visual entry.
 
     Masses are raw sums from each entry's creation onward, with no age
-    normalization, and shrink in lockstep with the store on compaction.
+    normalization, held per layer as ``(kv_heads, capacity)`` and shrunk in
+    lockstep with the store on compaction.
     """
 
-    def __init__(self, layers: int, kv_heads: int):
-        self._mass = {
-            (l, h): np.zeros(16) for l in range(layers) for h in range(kv_heads)
-        }
-        self._len = {(l, h): 0 for l in range(layers) for h in range(kv_heads)}
+    def __init__(self, layers: int, kv_heads: int, capacity: int):
+        # each slot is zeroed when its entry is appended
+        self._mass = np.empty((layers, kv_heads, capacity))
+        self._len = [0] * layers
 
-    def add(self, layer: int, head: int, visual_mass: np.ndarray) -> None:
-        n = self._len[layer, head]
-        assert visual_mass.shape == (n,), "mass row must align with the store"
-        self._mass[layer, head][:n] += visual_mass
+    def add(self, layer: int, visual_mass: np.ndarray) -> None:
+        n = self._len[layer]
+        if visual_mass.shape != (self._mass.shape[1], n):
+            raise LinearKVError(
+                "mass-misaligned",
+                f"mass row {visual_mass.shape} does not match the store "
+                f"({self._mass.shape[1]}, {n}) of layer {layer}",
+            )
+        self._mass[layer, :, :n] += visual_mass
 
-    def on_append(self, layer: int, head: int) -> None:
-        n = self._len[layer, head]
-        buf = self._mass[layer, head]
-        if n == buf.shape[0]:
-            grown = np.zeros(2 * n)
-            grown[:n] = buf
-            self._mass[layer, head] = buf = grown
-        buf[n] = 0.0
-        self._len[layer, head] = n + 1
+    def on_append(self, layer: int) -> None:
+        n = self._len[layer]
+        self._mass[layer, :, n] = 0.0
+        self._len[layer] = n + 1
 
-    def on_compact(self, layer: int, head: int, evict_idx) -> None:
-        n = self._len[layer, head]
-        keep = np.ones(n, dtype=bool)
-        keep[np.asarray(evict_idx, dtype=np.int64)] = False
-        buf = self._mass[layer, head]
-        survivors = buf[:n][keep]
-        buf[: survivors.size] = survivors
-        self._len[layer, head] = survivors.size
+    def on_compact(self, layer: int, evict_idx) -> None:
+        evict = np.asarray(evict_idx, dtype=np.int64)
+        drop_entries((self._mass[layer],), self._len[layer], evict)
+        self._len[layer] -= evict.shape[1]
 
-    def mass(self, layer: int, head: int) -> np.ndarray:
-        return self._mass[layer, head][: self._len[layer, head]]
-
-
-def attacc_scores(history: np.ndarray, mid_idx) -> np.ndarray:
-    """Accumulated attention restricted to the mid region.
-
-    A drop-in replacement for :func:`saliency` scores; note the values are
-    raw masses, not a normalized distribution.
-    """
-    return np.asarray(history, dtype=np.float64)[np.asarray(mid_idx, dtype=np.int64)]
+    def mass(self, layer: int) -> np.ndarray:
+        return self._mass[layer, :, : self._len[layer]]
 
 
 class EvictionPolicy:
     """Owns per-stream scoring state and the end-of-line decision.
 
-    The decoder feeds observations each step (queries and/or attention
-    rows, depending on the ``wants_*`` flags) and calls
+    The decoder feeds observations each step, one call per layer (queries
+    and/or attention rows, depending on the ``wants_*`` flags), and calls
     :meth:`end_of_line` after each line's last append.
     """
 
@@ -233,57 +230,46 @@ class EvictionPolicy:
 
     def bind(
         self,
-        layers: int,
-        kv_heads: int,
+        cache: VisualKVCache,
         group_size: int,
         spec: GridSpec,
         cfg: BudgetConfig,
         seed: int,
     ) -> None:
-        self.layers = layers
-        self.kv_heads = kv_heads
-        self.group_size = group_size
+        self.cache = cache
         self.spec = spec
         self.cfg = cfg
         self.seed = seed
 
-    def observe_queries(self, layer: int, head: int, rows) -> None:
+    def observe_queries(self, layer: int, position: int, queries) -> None:
         pass
 
-    def observe_attention(self, layer: int, head: int, visual_mass: np.ndarray) -> None:
+    def observe_attention(self, layer: int, visual_mass: np.ndarray) -> None:
         pass
 
-    def notify_append(self, layer: int, head: int) -> None:
+    def notify_append(self, layer: int) -> None:
         pass
 
     def end_of_line(self, cache: VisualKVCache, line: int) -> list[EvictionEvent] | None:
         """Compress when due; returns the eviction events, else None."""
-        head_len = next(cache.visual_len(l, h) for l, h in cache.heads())
-        if not should_compress(self.cfg, self.spec, line, head_len):
-            self.line_boundary()
-            return None
-        events = compress_end_of_line(
-            cache,
-            self.spec,
-            self.cfg,
-            line,
-            select=lambda layer, head, part: self.select(cache, line, layer, head, part),
-            on_compact=self.shrink_state,
-        )
+        events = None
+        if should_compress(self.cfg, self.spec, line, cache.visual_len(0, 0)):
+            events = compress_end_of_line(
+                cache,
+                self.spec,
+                self.cfg,
+                line,
+                select=lambda layer, mid: self.select(cache, line, layer, mid),
+                on_compact=self.shrink_state,
+            )
         self.line_boundary()
         return events
 
-    def select(
-        self,
-        cache: VisualKVCache,
-        line: int,
-        layer: int,
-        head: int,
-        part: RegionPartition,
-    ) -> np.ndarray:
+    def select(self, cache: VisualKVCache, line: int, layer: int, mid: slice) -> np.ndarray:
+        """``(kv_heads, width)`` ascending store indices to evict from ``mid``."""
         raise NotImplementedError
 
-    def shrink_state(self, layer: int, head: int, evict_idx) -> None:
+    def shrink_state(self, layer: int, evict_idx) -> None:
         pass
 
     def line_boundary(self) -> None:
@@ -305,17 +291,28 @@ class LineGuidedPolicy(EvictionPolicy):
     name = "lineattn"
     wants_queries = True
 
-    def bind(self, layers, kv_heads, group_size, spec, cfg, seed):
-        super().bind(layers, kv_heads, group_size, spec, cfg, seed)
-        self.guide = GuideQueue(layers, kv_heads, spec.width)
+    def bind(self, cache, group_size, spec, cfg, seed):
+        super().bind(cache, group_size, spec, cfg, seed)
+        self.guide = GuideQueue(
+            cache.layers, cache.kv_heads, group_size, spec.width, cache.head_dim
+        )
+        self.filling = [False] * cache.layers
 
-    def observe_queries(self, layer, head, rows):
-        self.guide.push(layer, head, rows)
+    def observe_queries(self, layer, position, queries):
+        # whether this line ends in a compression is known at its first
+        # token: the store will hold one more line by then
+        width = self.spec.width
+        if position % width == 0:
+            self.filling[layer] = should_compress(
+                self.cfg, self.spec, position // width + 1,
+                self.cache.visual_len(layer, 0) + width,
+            )
+        if self.filling[layer]:
+            self.guide.push(layer, queries)
 
-    def select(self, cache, line, layer, head, part):
-        guide = self.guide.matrix(layer, head)
-        scores = saliency(guide, cache.keys(layer, head)[part.mid_idx])
-        return part.mid_idx[bottom_k(scores, self.spec.width)]
+    def select(self, cache, line, layer, mid):
+        scores = saliency(self.guide.matrix(layer), cache.keys(layer)[:, mid])
+        return mid.start + bottom_k(scores, self.spec.width)
 
     def line_boundary(self):
         self.guide.clear()
@@ -334,19 +331,18 @@ class AccumulatedAttentionPolicy(EvictionPolicy):
     def __init__(self, name: str = "attacc"):
         self.name = name
 
-    def bind(self, layers, kv_heads, group_size, spec, cfg, seed):
-        super().bind(layers, kv_heads, group_size, spec, cfg, seed)
-        self.tracker = AttentionMassTracker(layers, kv_heads)
+    def bind(self, cache, group_size, spec, cfg, seed):
+        super().bind(cache, group_size, spec, cfg, seed)
+        self.tracker = AttentionMassTracker(cache.layers, cache.kv_heads, cache.capacity)
 
-    def observe_attention(self, layer, head, visual_mass):
-        self.tracker.add(layer, head, visual_mass)
+    def observe_attention(self, layer, visual_mass):
+        self.tracker.add(layer, visual_mass)
 
-    def notify_append(self, layer, head):
-        self.tracker.on_append(layer, head)
+    def notify_append(self, layer):
+        self.tracker.on_append(layer)
 
-    def select(self, cache, line, layer, head, part):
-        scores = attacc_scores(self.tracker.mass(layer, head), part.mid_idx)
-        return part.mid_idx[bottom_k(scores, self.spec.width)]
+    def select(self, cache, line, layer, mid):
+        return mid.start + bottom_k(self.tracker.mass(layer)[:, mid], self.spec.width)
 
-    def shrink_state(self, layer, head, evict_idx):
-        self.tracker.on_compact(layer, head, evict_idx)
+    def shrink_state(self, layer, evict_idx):
+        self.tracker.on_compact(layer, evict_idx)

@@ -7,12 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linear_kv.attention import attention, softmax_rows
+from linear_kv.attention import attention, softmax_inplace, softmax_rows
 from linear_kv.errors import LinearKVError
 from linear_kv.oracles import attention_reference, softmax_rows_reference
 
 
 class TestSoftmaxRows:
+    def test_inplace_last_axis_is_bitwise_equal(self):
+        # the decode step normalizes (kv_heads, group, span) blocks in place
+        rng = np.random.default_rng(29)
+        for shape in [(7,), (3, 9), (2, 3, 11)]:
+            logits = rng.normal(size=shape) * 4
+            want = softmax_rows(logits.reshape(-1, shape[-1])).reshape(shape)
+            got = logits.copy()
+            assert softmax_inplace(got) is got
+            np.testing.assert_array_equal(got, want)
+
     def test_two_equal_logits_split_evenly(self):
         out = softmax_rows([[0.0, 0.0]])
         np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-12)

@@ -81,6 +81,24 @@ def test_bench_rejects_unknown_policy(tmp_path, capsys):
     assert "unknown-policy" in capsys.readouterr().err
 
 
+def test_bench_ignores_the_single_run_rho(tmp_path):
+    # 6x4 has no line-aligned 3/8 (the single-run default); the sweep's own
+    # --rhos are the only ratios it validates
+    flags = [f for f in SMALL if f not in ("--rho", "1/2")]
+    code = main(["bench", *flags, "--out", str(tmp_path), "--rhos", "1/2"])
+    assert code == 0
+    assert os.path.exists(os.path.join(str(tmp_path), "steps_lineattn_1-2_seed0.csv"))
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--rhos", "1/2,abc"), ("--rhos", "1/0"), ("--seeds", "0,x")]
+)
+def test_bench_bad_list_is_usage_error(tmp_path, capsys, flag, value):
+    code = main(["bench", *SMALL, "--out", str(tmp_path), flag, value])
+    assert code == 2
+    assert "value-parse" in capsys.readouterr().err
+
+
 def test_analyze_outputs(tmp_path):
     out = str(tmp_path / "run")
     assert main(["generate", *SMALL, "--trace-attention", "--out", out]) == 0

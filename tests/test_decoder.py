@@ -28,10 +28,10 @@ class TestPrefill:
         state = decoder.prefill([1, 2, 3], SPEC_8, cfg, make_policy("full"))
         assert state.cache.cond_len == 3
         for li in range(SMALL.layers):
-            for g in range(SMALL.kv_heads):
-                k, v = state.cache.conditional(li, g)
-                assert k.shape == (3, SMALL.head_dim)
-                assert v.shape == (3, SMALL.head_dim)
+            k, v = state.cache.conditional(li)
+            assert k.shape == (SMALL.kv_heads, 3, SMALL.head_dim)
+            assert v.shape == (SMALL.kv_heads, 3, SMALL.head_dim)
+            assert not k.flags.writeable and not v.flags.writeable
 
     def test_empty_condition_rejected(self):
         decoder = RasterDecoder(SMALL)
@@ -50,8 +50,8 @@ class TestPrefill:
     def test_same_seed_same_conditional_block(self):
         k1 = RasterDecoder(SMALL).prefill([5, 6], SPEC_8, budget_from_ratio(SPEC_8, Fraction(1)), make_policy("full"))
         k2 = RasterDecoder(SMALL).prefill([5, 6], SPEC_8, budget_from_ratio(SPEC_8, Fraction(1)), make_policy("full"))
-        a, _ = k1.cache.conditional(0, 0)
-        b, _ = k2.cache.conditional(0, 0)
+        a, _ = k1.cache.conditional(0)
+        b, _ = k2.cache.conditional(0)
         np.testing.assert_array_equal(a, b)
 
 
@@ -192,7 +192,7 @@ class TestAccumulatedAttention:
             for row in rec["probs"]:
                 for j, pos in enumerate(positions):
                     expected[pos] += row[cond + j]
-        got = policy.tracker.mass(0, 0)
+        got = policy.tracker.mass(0)[0]
         np.testing.assert_allclose(got, expected[: got.size], atol=1e-9)
 
 
@@ -230,6 +230,18 @@ class TestTerminalState:
         with pytest.raises(LinearKVError) as err:
             decoder.decode_step(state)
         assert err.value.code == "generation-complete"
+
+    def test_store_past_its_budget_raises_a_coded_error(self):
+        # a never-compressing policy under a compressed budget outgrows the
+        # fixed-capacity store on the first step past the budget
+        decoder = RasterDecoder(SMALL)
+        cfg = budget_from_ratio(SPEC_8, Fraction(1, 2))
+        state = decoder.prefill([1, 2], SPEC_8, cfg, make_policy("full"))
+        for _ in range(cfg.budget):
+            decoder.decode_step(state)
+        with pytest.raises(LinearKVError) as err:
+            decoder.decode_step(state)
+        assert err.value.code == "cache-full"
 
 
 class TestDeterminism:
