@@ -8,7 +8,6 @@ grid is the baseline for savings.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,10 +18,13 @@ from .baselines import make_policy
 from .decoder import ModelConfig, RasterDecoder, synth_condition
 from .errors import LinearKVError
 from .grid import GridSpec, budget_from_ratio
-from .trace import DecodeTrace
+from .trace import DecodeTrace, write_csv
 
 BYTES_PER_SCALAR = {"fp16": 2, "fp32": 4}
 
+STEP_COLUMNS = (
+    "step", "policy", "rho", "entries", "bytes_fp16", "bytes_fp32", "flops_proxy", "step_ns"
+)
 SUMMARY_METRICS = (
     "peak_entries",
     "peak_bytes_fp16",
@@ -189,7 +191,6 @@ def run_sweep(
     """Run every (policy, rho, seed) cell, writing per-run step CSVs plus a
     long-format summary.csv. Returns the summary path."""
     base = model if model is not None else ModelConfig()
-    os.makedirs(out_dir, exist_ok=True)
     summary_rows = []
     for policy_name in policies:
         for rho in rhos:
@@ -202,29 +203,15 @@ def run_sweep(
                     synth_condition(mc), spec, cfg, make_policy(policy_name)
                 )
                 name = f"steps_{policy_name}_{_rho_slug(effective)}_seed{seed}.csv"
-                with open(os.path.join(out_dir, name), "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(
-                        [
-                            "step",
-                            "policy",
-                            "rho",
-                            "entries",
-                            "bytes_fp16",
-                            "bytes_fp32",
-                            "flops_proxy",
-                            "step_ns",
-                        ]
-                    )
-                    writer.writerows(step_rows(trace, policy_name, effective))
+                rows = step_rows(trace, policy_name, effective)
+                write_csv(os.path.join(out_dir, name), STEP_COLUMNS, rows)
                 stats = summarize(trace)
                 for metric in SUMMARY_METRICS:
                     summary_rows.append(
                         [policy_name, str(effective), seed, metric, stats[metric]]
                     )
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "rho", "seed", "metric", "value"])
-        writer.writerows(summary_rows)
-    return summary_path
+    return write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["policy", "rho", "seed", "metric", "value"],
+        summary_rows,
+    )

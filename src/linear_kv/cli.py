@@ -9,7 +9,6 @@ for configuration or usage problems, 3 when a self-check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -32,7 +31,7 @@ from .oracles import (
     streaming_retained_reference,
 )
 from .policy import bottom_k, saliency
-from .trace import DecodeTrace
+from .trace import DecodeTrace, write_csv
 
 OUT_ENV = "LINEAR_KV_OUT"
 
@@ -84,10 +83,8 @@ def _run_config(args) -> RunConfig:
     return replace(RunConfig(), **overrides)
 
 
-def _out_dir(cfg: RunConfig) -> str:
-    path = cfg.out or os.environ.get(OUT_ENV) or "out"
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out_dir(out: str | None) -> str:
+    return out or os.environ.get(OUT_ENV) or "out"
 
 
 def _generate(cfg: RunConfig) -> DecodeTrace:
@@ -104,7 +101,7 @@ def _generate(cfg: RunConfig) -> DecodeTrace:
 
 def cmd_generate(args) -> int:
     cfg = _run_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     trace = _generate(cfg)
     path = os.path.join(out, "trace.jsonl")
     trace.write(path)
@@ -125,7 +122,7 @@ def _parse_list(flag: str, text: str, parse) -> list:
 
 def cmd_bench(args) -> int:
     cfg = _run_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     # the sweep's own --rhos replace the single-run rho, so only the grid
     # and the model are taken from the run configuration
     spec = GridSpec.parse(cfg.grid)
@@ -151,8 +148,7 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = DecodeTrace.read(args.trace)
-    out = args.out or os.environ.get(OUT_ENV) or "out"
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args.out)
     paths = [
         analysis.write_allocation_csv(trace, os.path.join(out, "allocation.csv")),
         analysis.write_interline_csv(trace, os.path.join(out, "interline.csv")),
@@ -183,7 +179,7 @@ def _ablation_config(cfg: RunConfig, arm: str) -> RunConfig:
 
 def cmd_ablate(args) -> int:
     cfg = _run_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     rows = []
     for arm in ABLATION_ARMS:
         arm_cfg = _ablation_config(cfg, arm)
@@ -201,14 +197,12 @@ def cmd_ablate(args) -> int:
                 stats["mean_flops_per_step"],
             ]
         )
-    path = os.path.join(out, "ablate_summary.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["arm", "policy", "n_init", "recent_lines", "evictions",
-             "peak_entries", "mean_flops_per_step"]
-        )
-        writer.writerows(rows)
+    path = write_csv(
+        os.path.join(out, "ablate_summary.csv"),
+        ["arm", "policy", "n_init", "recent_lines", "evictions",
+         "peak_entries", "mean_flops_per_step"],
+        rows,
+    )
     print(f"wrote {path}")
     return 0
 
@@ -327,9 +321,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LinearKVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

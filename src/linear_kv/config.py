@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .baselines import POLICY_NAMES
 from .decoder import ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, LinearKVError
 from .grid import BudgetConfig, GridSpec, budget_from_ratio
+from .trace import atomic_write
 
 _MODEL_DEFAULTS = ModelConfig()
 
@@ -123,13 +124,15 @@ def dump_config(cfg: RunConfig) -> str:
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """File values under explicit overrides (flags beat the file)."""
-    with open(path) as fh:
-        values = parse_config_text(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
+    values = parse_config_text(text)
     values.update(overrides or {})
     return dataclasses.replace(RunConfig(), **values)
 
 
 def save_config(cfg: RunConfig, path: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(dump_config(cfg))
-    return path
+    return atomic_write(path, dump_config(cfg))

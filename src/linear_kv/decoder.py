@@ -216,12 +216,8 @@ class RasterDecoder:
             if policy.wants_attention:
                 policy.observe_attention(li, probs[:, :, cond_len:].sum(axis=1))
             if attn_trace is not None:
-                attn_trace.append(
-                    {
-                        "kv_positions": cache.positions(li).tolist(),
-                        "probs": list(probs.reshape(mc.heads, -1)),
-                    }
-                )
+                positions = cache.positions(li).copy()
+                attn_trace.append({"kv_positions": positions, "probs": probs.reshape(mc.heads, -1)})
             if policy.wants_queries:
                 policy.observe_queries(li, p, q)
             cache.append(li, k, v, p)

@@ -2,22 +2,35 @@
 
 File layout, one JSON object per line, in chronological order::
 
-    {"record": "header", "schema": 1, "config": {...}, "rng": "numpy-pcg64"}
+    {"record": "header", "schema": 2, "config": {...}, "rng": "numpy-pcg64"}
     {"record": "step", "i": 0, "line": 1, "token": 17, "span": 8,
-     "visual_len": 1, "step_ns": 52100, "attn": {...}?}
+     "visual_len": 1, "step_ns": 52100, "attn": [...]?}
     {"record": "eviction", "line": 3, "layer": 0, "head": 0,
      "evicted_positions": [...], "post_len": 16}
     {"record": "summary", "final_hidden": [...], "cache": {...}}
 
+Steps are numbered consecutively from 0, step ``i`` lies on line
+``i // width + 1``, and a trace holds exactly ``height * width`` of them.
 Eviction records follow their line's last step. ``step_ns`` is the only
 timing field anywhere in the file; :meth:`DecodeTrace.canonical_body` drops
 it so byte comparison between runs ignores wall-clock noise. Headers carry
 no clock data at all.
+
+``attn`` holds one ``{"kv_positions", "probs"}`` object per layer. Each
+value is the base64 text of a little-endian array whose shape follows from
+the header config and the step's ``span``: ``kv_positions`` is ``<i8`` of
+shape ``(kv_heads, span - cond_len)``, each row ascending and below ``i``;
+``probs`` is ``<f8`` of shape ``(heads, span)``. Schema 1, which stored the
+same values as JSON number lists, is rejected.
 """
 
 from __future__ import annotations
 
+import base64
+import csv
+import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -27,15 +40,45 @@ import numpy as np
 from .errors import LinearKVError
 from .policy import EvictionEvent
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 TIMING_FIELDS = ("step_ns",)
+
+
+def atomic_write(path: str, text: str) -> str:
+    """Write ``text`` through a temp file in the target directory and a
+    rename, creating the directory; any OS failure raises ``io-error``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise LinearKVError("io-error", f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def write_csv(path: str, header, rows, lineterminator: str = "\r\n") -> str:
+    """Atomically write a header row plus ``rows`` as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return atomic_write(path, buf.getvalue())
 
 
 @dataclass
 class StepRecord:
     """One decode step. ``span`` counts the entries attended per head
     (conditional plus visual, before this step's append); ``visual_len`` is
-    the per-head store length after the append and any compression."""
+    the per-head store length after the append and any compression.
+    ``attn``, when recorded, holds per layer ``kv_positions``
+    ``(kv_heads, span - cond_len)`` and ``probs`` ``(heads, span)``."""
 
     index: int
     line: int
@@ -46,27 +89,39 @@ class StepRecord:
     attn: list | None = None
 
 
+def _encode(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(text: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)}-byte payload does not fill shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
 def _attn_to_json(attn):
-    out = []
-    for layer_rec in attn:
-        out.append(
-            {
-                "kv_positions": [list(map(int, p)) for p in layer_rec["kv_positions"]],
-                "probs": [np.asarray(row).tolist() for row in layer_rec["probs"]],
-            }
-        )
-    return out
+    return [
+        {
+            "kv_positions": _encode(rec["kv_positions"], "<i8"),
+            "probs": _encode(rec["probs"], "<f8"),
+        }
+        for rec in attn
+    ]
 
 
-def _attn_from_json(attn):
+def _attn_from_json(attn, config: dict, span: int, index: int):
+    if len(attn) != config["layers"]:
+        raise ValueError(f"attention for {len(attn)} layers, expected {config['layers']}")
+    visual = (config["kv_heads"], span - config["cond_len"])
     out = []
-    for layer_rec in attn:
-        out.append(
-            {
-                "kv_positions": [list(p) for p in layer_rec["kv_positions"]],
-                "probs": [np.asarray(row, dtype=np.float64) for row in layer_rec["probs"]],
-            }
-        )
+    for rec in attn:
+        positions = _decode(rec["kv_positions"], "<i8", visual)
+        # analysis indexes by these positions and takes the anchors as a prefix
+        if (np.diff(positions, prepend=-1, append=index) <= 0).any():
+            raise ValueError(f"kv_positions are not increasing positions in [0, {index})")
+        probs = _decode(rec["probs"], "<f8", (config["heads"], span))
+        out.append({"kv_positions": positions, "probs": probs})
     return out
 
 
@@ -106,14 +161,7 @@ class DecodeTrace:
             yield rec
             if (step.index + 1) % width == 0:
                 for ev in by_line.get(step.line, ()):
-                    yield {
-                        "record": "eviction",
-                        "line": ev.line,
-                        "layer": ev.layer,
-                        "head": ev.head,
-                        "evicted_positions": ev.evicted_positions,
-                        "post_len": ev.post_len,
-                    }
+                    yield {"record": "eviction", **vars(ev)}
         summary = {"record": "summary"}
         if self.final_hidden is not None:
             summary["final_hidden"] = np.asarray(self.final_hidden).tolist()
@@ -137,68 +185,66 @@ class DecodeTrace:
 
     def write(self, path: str) -> str:
         """Atomic write: temp file in the target directory, then rename."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.dumps())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return atomic_write(path, self.dumps())
 
     @classmethod
     def read(cls, path: str) -> "DecodeTrace":
-        header = None
-        steps: list[StepRecord] = []
-        evictions: list[EvictionEvent] = []
-        final_hidden = None
-        snapshot = None
-        with open(path) as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
+        """Parse and validate a trace file. A file that cannot be opened
+        raises ``io-error``; malformed JSON, payloads or record order raise
+        ``trace-corrupt`` with the offending line number."""
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
+        header, summary, steps, evictions, lineno = None, None, [], [], 0
+
+        def corrupt(message):
+            return LinearKVError("trace-corrupt", f"{path}:{lineno}: {message}")
+
+        with fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
                     continue
-                rec = json.loads(raw)
-                kind = rec.get("record")
-                if header is None and kind != "header":
-                    raise LinearKVError("trace-missing-header", path)
-                if kind == "header":
-                    if rec.get("schema") != TRACE_SCHEMA:
-                        raise LinearKVError(
-                            "trace-schema-mismatch",
-                            f"schema {rec.get('schema')} != {TRACE_SCHEMA}",
+                try:
+                    rec = json.loads(raw)
+                    kind = rec["record"]
+                    if header is None:
+                        if kind != "header":
+                            raise LinearKVError("trace-missing-header", path)
+                        if rec.get("schema") != TRACE_SCHEMA:
+                            message = f"schema {rec.get('schema')} != {TRACE_SCHEMA}"
+                            raise LinearKVError("trace-schema-mismatch", message)
+                        header = {k: v for k, v in rec.items() if k not in ("record", "schema")}
+                        config = header["config"]
+                        width, total = config["width"], config["height"] * config["width"]
+                    elif kind == "step":
+                        i, line, span = rec["i"], rec["line"], rec["span"]
+                        if i != len(steps) or i >= total or line != i // width + 1:
+                            raise corrupt(f"step {i} on line {line} out of order")
+                        attn = rec.get("attn")
+                        if attn is not None:
+                            attn = _attn_from_json(attn, config, span, i)
+                        steps.append(StepRecord(
+                            i, line, rec["token"], span, rec["visual_len"], rec.get("step_ns"), attn
+                        ))
+                    elif kind == "eviction":
+                        ev = EvictionEvent(
+                            rec["line"], rec["layer"], rec["head"],
+                            list(rec["evicted_positions"]), rec["post_len"],
                         )
-                    header = {k: v for k, v in rec.items() if k not in ("record", "schema")}
-                elif kind == "step":
-                    steps.append(
-                        StepRecord(
-                            index=rec["i"],
-                            line=rec["line"],
-                            token=rec["token"],
-                            span=rec["span"],
-                            visual_len=rec["visual_len"],
-                            step_ns=rec.get("step_ns"),
-                            attn=_attn_from_json(rec["attn"]) if "attn" in rec else None,
-                        )
-                    )
-                elif kind == "eviction":
-                    evictions.append(
-                        EvictionEvent(
-                            line=rec["line"],
-                            layer=rec["layer"],
-                            head=rec["head"],
-                            evicted_positions=list(rec["evicted_positions"]),
-                            post_len=rec["post_len"],
-                        )
-                    )
-                elif kind == "summary":
-                    if "final_hidden" in rec:
-                        final_hidden = np.asarray(rec["final_hidden"], dtype=np.float64)
-                    snapshot = rec.get("cache")
+                        if len(steps) != ev.line * width:
+                            raise corrupt(f"eviction of line {ev.line} out of order")
+                        evictions.append(ev)
+                    elif kind == "summary":
+                        summary = rec
+                        hidden = rec.get("final_hidden")
+                        final_hidden = None if hidden is None else np.asarray(hidden, np.float64)
+                except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+                    raise corrupt(f"{type(exc).__name__}: {exc}") from None
         if header is None:
             raise LinearKVError("trace-missing-header", path)
-        return cls(header, steps, evictions, final_hidden, snapshot)
+        if len(steps) != total:
+            raise corrupt(f"{len(steps)} steps, expected {total}")
+        if summary is None:
+            raise corrupt("no summary record")
+        return cls(header, steps, evictions, final_hidden, summary.get("cache"))

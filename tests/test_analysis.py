@@ -6,8 +6,10 @@ same functions hold their invariants on real runs.
 """
 
 import csv
+import hashlib
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -258,3 +260,55 @@ class TestEmitters:
         assert payload["similarity_measure"] == "cosine"
         assert 0.0 < payload["mean_cond_mass"] < 1.0
         assert payload["config"]["policy"] == "lineattn"
+
+
+# sha256 of the four ``analyze`` outputs, recorded with the per-position
+# loop implementation that preceded the array emitters. Both cases decode an
+# 8x8 grid at rho 5/8 with evictions on lines 5-7, so later lines attend over
+# caches with holes; ``n_init=3`` puts the anchor boundary inside a line.
+PINNED = {
+    "lineattn-mha": (
+        ModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=11),
+        "lineattn",
+        3,
+        {
+            "allocation.csv": "fc7830e0ab3ae3208e6dda67a7551cd0f3f042c2e3290b27fdb7abff68b787fd",
+            "interline.csv": "fff9620fdd59b04372021c079554f63286cf653d30158d8319cb6d99c3c39bbe",
+            "locality.csv": "7752759ab12e8dd4ada7cefe1526dffaaa15915f18ea2fe23f0af926d37a54dc",
+            "summary.json": "83e50c5377a4b94004e19b4f95a13f8bcb06b33e8976e3033a3a5d136aa35b54",
+        },
+    ),
+    "h2o-gqa": (
+        ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=11),
+        "h2o",
+        None,
+        {
+            "allocation.csv": "16f9bf03e4c048612a900905954eb8086a218392da6db462607fc670d76089d3",
+            "interline.csv": "aa2edb9e46024e3a46c7cd65a9bdee4240cd1451fe9247f06dceaeabe8f9b2b5",
+            "locality.csv": "82ca77d56309e1d7a425f194f596a4194ed62d0893af36539330f7bd500a55f4",
+            "summary.json": "a1e718d91e52ee257b22d91d9d01fa27dc443aa00c2c70c1cbc260bce3ca51a8",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_outputs_match_pinned_digests(tmp_path, case):
+    mc, policy, n_init, digests = PINNED[case]
+    spec = GridSpec(8, 8)
+    cfg = budget_from_ratio(spec, Fraction(5, 8), n_init=n_init)
+    trace = RasterDecoder(mc).generate(
+        synth_condition(mc), spec, cfg, make_policy(policy), trace_attention=True
+    )
+    assert sorted({e.line for e in trace.evictions}) == [5, 6, 7]
+    loaded = DecodeTrace.read(trace.write(str(tmp_path / "trace.jsonl")))
+    for name, emit in (
+        ("allocation.csv", write_allocation_csv),
+        ("interline.csv", write_interline_csv),
+        ("locality.csv", write_locality_csv),
+        ("summary.json", write_summary_json),
+    ):
+        for label, source in (("memory", trace), ("file", loaded)):
+            path = emit(source, os.path.join(str(tmp_path), f"{label}-{name}"))
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digests[name], (label, name)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs in temporary directories."""
 
+import base64
 import csv
 import json
 import os
@@ -118,6 +119,71 @@ def test_analyze_without_attention_fails(tmp_path, capsys):
                  "--out", str(tmp_path / "a")])
     assert code == 2
     assert "trace-missing-attention" in capsys.readouterr().err
+
+
+def _traced_run(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["generate", *SMALL, "--trace-attention", "--out", out]) == 0
+    return os.path.join(out, "trace.jsonl")
+
+
+def _edit_probs(path, payload):
+    with open(path) as fh:
+        lines = fh.readlines()
+    rec = json.loads(lines[2])
+    rec["attn"][0]["probs"] = payload(rec["attn"][0]["probs"])
+    lines[2] = json.dumps(rec) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _truncate(path):
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+
+
+def _bad_base64(path):
+    _edit_probs(path, lambda old: "@" + old[1:])
+
+
+def _short_payload(path):
+    _edit_probs(path, lambda old: base64.b64encode(base64.b64decode(old)[8:]).decode())
+
+
+@pytest.mark.parametrize("damage", [_truncate, _bad_base64, _short_payload])
+def test_analyze_corrupt_trace_is_usage_error(tmp_path, capsys, damage):
+    path = _traced_run(tmp_path)
+    damage(path)
+    code = main(["analyze", "--trace", path, "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "trace-corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_missing_input_is_io_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "absent")
+    if command == "analyze":
+        argv = ["analyze", "--trace", missing, "--out", str(tmp_path / "a")]
+    else:
+        argv = ["generate", "--config", missing, "--out", str(tmp_path / "a")]
+    assert main(argv) == 2
+    assert "io-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_out_under_a_regular_file_is_io_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = str(blocker / "sub")
+    if command == "analyze":
+        argv = ["analyze", "--trace", _traced_run(tmp_path), "--out", out]
+    else:
+        argv = ["generate", *SMALL, "--out", out]
+    assert main(argv) == 2
+    assert "io-error" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
 
 
 def test_oracle_passes(capsys):
