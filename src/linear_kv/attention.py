@@ -1,4 +1,4 @@
-"""Numerically stable dense attention kernels.
+"""Numerically stable softmax kernels.
 
 Matrices are plain row-major float64 numpy arrays. :func:`softmax_rows` is
 the package's reference normalizer; the decode and eviction hot loops run
@@ -8,8 +8,6 @@ recomputed.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -60,40 +58,3 @@ def softmax_inplace(a: np.ndarray) -> np.ndarray:
     a /= a.sum(axis=-1, keepdims=True)
     return a
 
-
-def attention(q, keys, values, scale: float | None = None) -> np.ndarray:
-    """Scaled dot-product attention of query rows over a key/value store.
-
-    ``scale`` defaults to ``1 / sqrt(d)`` where ``d`` is the key width. The
-    output is a convex combination of value rows, one output row per query
-    row; a 1-D query returns a 1-D output.
-
-    Raises ``empty-cache`` when there are no keys and ``shape-mismatch``
-    when query/key widths or key/value row counts disagree.
-    """
-    qa = np.asarray(q, dtype=np.float64)
-    ka = np.asarray(keys, dtype=np.float64)
-    va = np.asarray(values, dtype=np.float64)
-    squeeze = qa.ndim == 1
-    if squeeze:
-        qa = qa[None, :]
-    if qa.ndim != 2 or ka.ndim != 2 or va.ndim != 2:
-        raise LinearKVError(
-            "shape-mismatch",
-            f"q/K/V must be matrices, got shapes {qa.shape}, {ka.shape}, {va.shape}",
-        )
-    if ka.shape[0] == 0:
-        raise LinearKVError("empty-cache", "no keys to attend over")
-    if qa.shape[1] != ka.shape[1] or ka.shape[0] != va.shape[0]:
-        raise LinearKVError(
-            "shape-mismatch",
-            f"incompatible shapes: q {qa.shape}, K {ka.shape}, V {va.shape}",
-        )
-    _require_finite(qa, "query")
-    _require_finite(ka, "keys")
-    _require_finite(va, "values")
-    if scale is None:
-        scale = 1.0 / math.sqrt(qa.shape[1])
-    probs = softmax_rows(qa @ ka.T * scale)
-    out = probs @ va
-    return out[0] if squeeze else out

@@ -17,7 +17,6 @@ from .policy import (
     EvictionPolicy,
     FullCachePolicy,
     LineGuidedPolicy,
-    bottom_k,
 )
 
 
@@ -54,17 +53,6 @@ def streaming_retain(cfg: BudgetConfig, spec: GridSpec, line: int) -> np.ndarray
     sinks = np.arange(min(cfg.n_init, generated), dtype=np.int64)
     recent = np.arange(max(cutoff, cfg.n_init), generated, dtype=np.int64)
     return np.concatenate([sinks, recent])
-
-
-def h2o_evict(history, mid_idx, k: int) -> np.ndarray:
-    """Bottom-``k`` of accumulated attention within the mid region.
-
-    Ties resolve toward the older raster position, like every other
-    selection rule in the package.
-    """
-    hist = np.asarray(history, dtype=np.float64)
-    mid = np.asarray(mid_idx, dtype=np.int64)
-    return mid[bottom_k(hist[mid], k)]
 
 
 class RandomPolicy(EvictionPolicy):
@@ -104,8 +92,7 @@ _POLICIES = {
     "lineattn": LineGuidedPolicy,
     "random": RandomPolicy,
     "streaming": StreamingPolicy,
-    "h2o": lambda: AccumulatedAttentionPolicy("h2o"),
-    "attacc": lambda: AccumulatedAttentionPolicy("attacc"),
+    "h2o": AccumulatedAttentionPolicy,
     "full": FullCachePolicy,
 }
 

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate one traced run, sweep benchmark cells, analyze a
-recorded trace, self-check the fast paths against reference
-implementations, and run the ablation arms. Exit codes: 0 on success, 2
-for configuration or usage problems, 3 when a self-check fails.
+recorded trace, and run the ablation arms. Exit codes: 0 on success, 2
+for configuration, input or usage problems.
 """
 
 from __future__ import annotations
@@ -14,23 +13,12 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import analysis, bench
-from .attention import softmax_rows
-from .baselines import POLICY_NAMES, make_policy, streaming_retain
+from .baselines import POLICY_NAMES, make_policy
 from .config import RunConfig, load_config, save_config
 from .decoder import RasterDecoder, synth_condition
 from .errors import ConfigError, LinearKVError
-from .grid import GridSpec, budget_from_ratio
-from .oracles import (
-    bottom_k_reference,
-    compression_lines_reference,
-    saliency_reference,
-    softmax_rows_reference,
-    streaming_retained_reference,
-)
-from .policy import bottom_k, saliency
+from .grid import GridSpec
 from .trace import DecodeTrace, write_csv
 
 OUT_ENV = "LINEAR_KV_OUT"
@@ -173,7 +161,7 @@ def _ablation_config(cfg: RunConfig, arm: str) -> RunConfig:
     if arm == "disable-mid":
         return replace(cfg, policy="streaming")
     if arm == "attacc":
-        return replace(cfg, policy="attacc")
+        return replace(cfg, policy="h2o")
     raise ConfigError("unknown-ablation-arm", arm)
 
 
@@ -207,81 +195,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-# -- self checks -------------------------------------------------------------
-
-
-def _oracle_checks(trials: int, seed: int):
-    rng = np.random.default_rng(seed)
-
-    def check_softmax():
-        for _ in range(trials):
-            rows = rng.integers(1, 5)
-            cols = rng.integers(1, 9)
-            m = rng.normal(size=(rows, cols)) * 5
-            got = softmax_rows(m)
-            want = softmax_rows_reference(m.tolist())
-            if not np.allclose(got, want, atol=1e-9):
-                return False
-        return True
-
-    def check_saliency():
-        for _ in range(trials):
-            d = int(rng.integers(1, 9))
-            guides = rng.normal(size=(int(rng.integers(1, 5)), d))
-            keys = rng.normal(size=(int(rng.integers(1, 13)), d))
-            got = saliency(guides, keys)
-            want = saliency_reference(guides.tolist(), keys.tolist(), d ** -0.5)
-            if not np.allclose(got, want, atol=1e-9):
-                return False
-        return True
-
-    def check_bottom_k():
-        for _ in range(trials):
-            n = int(rng.integers(1, 17))
-            scores = rng.integers(0, 4, size=n).astype(float)  # force ties
-            k = int(rng.integers(0, n + 1))
-            if not np.array_equal(bottom_k(scores, k), bottom_k_reference(scores.tolist(), k)):
-                return False
-        return True
-
-    def check_streaming():
-        spec = GridSpec(8, 8)
-        cfg = budget_from_ratio(spec, Fraction(3, 8), n_init=8, recent_lines=1)
-        for line in range(3, 8):
-            got = streaming_retain(cfg, spec, line)
-            want = streaming_retained_reference(cfg.n_init, cfg.budget, spec.width, line)
-            if got.tolist() != want:
-                return False
-        return True
-
-    def check_cadence():
-        spec = GridSpec(8, 8)
-        cfg = budget_from_ratio(spec, Fraction(3, 8), n_init=8, recent_lines=1)
-        model_cfg = RunConfig(grid="8x8", rho="3/8", layers=1, heads=1, kv_heads=1,
-                              head_dim=8, cond_len=4)
-        trace = _generate(model_cfg)
-        lines = sorted({e.line for e in trace.evictions})
-        return lines == compression_lines_reference(spec.height, spec.width, cfg.budget)
-
-    return [
-        ("softmax-vs-reference", check_softmax),
-        ("saliency-vs-reference", check_saliency),
-        ("bottom-k-vs-reference", check_bottom_k),
-        ("streaming-vs-reference", check_streaming),
-        ("cadence-vs-reference", check_cadence),
-    ]
-
-
-def cmd_oracle(args) -> int:
-    failures = 0
-    for name, check in _oracle_checks(args.trials, args.seed):
-        ok = check()
-        print(f"check {name}: {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
-    return 3 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linear-kv",
@@ -304,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="trace.jsonl from generate")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("oracle", help="self-check fast paths against references")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ablate", help="run the ablation arms on one setting")
     _add_config_flags(p)

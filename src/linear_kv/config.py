@@ -125,10 +125,12 @@ def dump_config(cfg: RunConfig) -> str:
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """File values under explicit overrides (flags beat the file)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("value-parse", f"{path} is not UTF-8 text: {exc.reason}") from None
     values = parse_config_text(text)
     values.update(overrides or {})
     return dataclasses.replace(RunConfig(), **values)

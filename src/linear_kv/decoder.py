@@ -61,6 +61,8 @@ class ModelConfig:
             )
         if self.cond_len < 1:
             raise ConfigError("model-config-invalid", "cond_len must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("model-config-invalid", f"seed {self.seed} is negative")
 
     @property
     def model_dim(self) -> int:

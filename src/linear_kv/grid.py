@@ -8,10 +8,11 @@ one line's worth of entries at a line boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigError, LinearKVError
+from .errors import ConfigError
 
 DEFAULT_RECENT_LINES = 2
 
@@ -42,20 +43,6 @@ class GridSpec:
         except ValueError:
             raise ConfigError("grid-parse", f"expected HxW, got {text!r}") from None
         return cls(height, width)
-
-
-def line_of(spec: GridSpec, position: int) -> int:
-    """0-based raster line containing ``position``.
-
-    The 1-based stage number used by the compression pipeline is
-    ``line_of(spec, p) + 1``.
-    """
-    if not 0 <= position < spec.total:
-        raise LinearKVError(
-            "position-out-of-grid",
-            f"position {position} outside [0, {spec.total})",
-        )
-    return position // spec.width
 
 
 @dataclass(frozen=True)
@@ -109,10 +96,13 @@ class BudgetConfig:
 
 
 def _misaligned(spec: GridSpec, rho: Fraction) -> ConfigError:
-    valid = [Fraction(k * spec.width, spec.total) for k in range(1, spec.height + 1)]
-    below = max((v for v in valid if v <= rho), default=None)
-    above = min((v for v in valid if v >= rho), default=None)
-    near = ", ".join(str(v) for v in (below, above) if v is not None)
+    # the valid ratios are k / height for k in 1..height; name the two around rho
+    lines = rho * spec.height
+    near = ", ".join(
+        str(Fraction(k, spec.height))
+        for k in sorted({math.floor(lines), math.ceil(lines)})
+        if 1 <= k <= spec.height
+    )
     return ConfigError(
         "budget-not-line-aligned",
         f"rho={rho} over a {spec.height}x{spec.width} grid is not a whole number of "

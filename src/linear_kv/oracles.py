@@ -2,8 +2,7 @@
 
 Everything here is written with plain Python loops and ``math.exp`` so the
 checks stay independent of the numpy code paths they validate. The test
-suite and the ``oracle`` CLI subcommand both run equivalence sweeps against
-these functions.
+suite runs its equivalence sweeps against these functions.
 """
 
 from __future__ import annotations

@@ -133,52 +133,6 @@ def should_compress(cfg: BudgetConfig, spec: GridSpec, line: int, head_len: int)
     return cfg.rho < 1 and head_len >= cfg.budget and line < spec.height
 
 
-def compress_end_of_line(
-    cache: VisualKVCache,
-    spec: GridSpec,
-    cfg: BudgetConfig,
-    line: int,
-    select,
-    on_compact=None,
-) -> list[EvictionEvent]:
-    """Run one compression event over every layer.
-
-    ``select(layer, mid)`` must return one strictly increasing row of
-    exactly one line's worth of store indices per kv head, drawn from the
-    ``mid`` slice; ``on_compact(layer, evict)`` lets scorers with per-entry
-    state shrink in lockstep. Heads choose independently, so eviction sets
-    differ across heads while every post-compaction length equals budget
-    minus one line.
-    """
-    width = spec.width
-    want = (cache.kv_heads, width)
-    events = []
-    for layer in range(cache.layers):
-        mid = cache.partition(layer, spec, cfg, line)
-        if mid.stop - mid.start < width:
-            raise LinearKVError(
-                "insufficient-mid-tokens",
-                f"mid region holds {mid.stop - mid.start} entries, need {width} "
-                f"(layer {layer}, line {line})",
-            )
-        evict = np.asarray(select(layer, mid), dtype=np.int64)
-        if evict.shape != want:
-            raise LinearKVError(
-                "eviction-size-mismatch",
-                f"selection shaped {evict.shape}, need {want}: exactly one line per "
-                f"kv head (layer {layer}, line {line})",
-            )
-        positions = cache.compact(layer, mid, evict)
-        if on_compact is not None:
-            on_compact(layer, evict)
-        post_len = cache.visual_len(layer, 0)
-        events.extend(
-            EvictionEvent(line, layer, head, row, post_len)
-            for head, row in enumerate(positions.tolist())
-        )
-    return events
-
-
 class AttentionMassTracker:
     """Running attention mass received by each cached visual entry.
 
@@ -251,17 +205,42 @@ class EvictionPolicy:
         pass
 
     def end_of_line(self, cache: VisualKVCache, line: int) -> list[EvictionEvent] | None:
-        """Compress when due; returns the eviction events, else None."""
+        """Compress when due; returns the eviction events, else None.
+
+        A compression event runs over every layer: :meth:`select` must return
+        one strictly increasing row of exactly one line's worth of store
+        indices per kv head, drawn from the ``mid`` slice, and
+        :meth:`shrink_state` lets scorers with per-entry state shrink in
+        lockstep. Heads choose independently, so eviction sets differ across
+        heads while every post-compaction length equals budget minus one line.
+        """
         events = None
         if should_compress(self.cfg, self.spec, line, cache.visual_len(0, 0)):
-            events = compress_end_of_line(
-                cache,
-                self.spec,
-                self.cfg,
-                line,
-                select=lambda layer, mid: self.select(cache, line, layer, mid),
-                on_compact=self.shrink_state,
-            )
+            width = self.spec.width
+            want = (cache.kv_heads, width)
+            events = []
+            for layer in range(cache.layers):
+                mid = cache.partition(layer, self.spec, self.cfg, line)
+                if mid.stop - mid.start < width:
+                    raise LinearKVError(
+                        "insufficient-mid-tokens",
+                        f"mid region holds {mid.stop - mid.start} entries, need {width} "
+                        f"(layer {layer}, line {line})",
+                    )
+                evict = np.asarray(self.select(cache, line, layer, mid), dtype=np.int64)
+                if evict.shape != want:
+                    raise LinearKVError(
+                        "eviction-size-mismatch",
+                        f"selection shaped {evict.shape}, need {want}: exactly one line per "
+                        f"kv head (layer {layer}, line {line})",
+                    )
+                positions = cache.compact(layer, mid, evict)
+                self.shrink_state(layer, evict)
+                post_len = cache.visual_len(layer, 0)
+                events.extend(
+                    EvictionEvent(line, layer, head, row, post_len)
+                    for head, row in enumerate(positions.tolist())
+                )
         self.line_boundary()
         return events
 
@@ -321,15 +300,12 @@ class LineGuidedPolicy(EvictionPolicy):
 class AccumulatedAttentionPolicy(EvictionPolicy):
     """Evict the mid-region entries with the least lifetime attention mass.
 
-    Registered under two names: ``attacc`` as the selection-swap arm of the
-    line-guided pipeline and ``h2o`` as the heavy-hitter baseline. Both are
-    the same raw accumulated-mass rule.
+    The heavy-hitter (H2O) baseline; the ``attacc`` ablation arm runs it as
+    the selection swap of the line-guided pipeline.
     """
 
+    name = "h2o"
     wants_attention = True
-
-    def __init__(self, name: str = "attacc"):
-        self.name = name
 
     def bind(self, cache, group_size, spec, cfg, seed):
         super().bind(cache, group_size, spec, cfg, seed)

@@ -239,7 +239,7 @@ class DecodeTrace:
                         summary = rec
                         hidden = rec.get("final_hidden")
                         final_hidden = None if hidden is None else np.asarray(hidden, np.float64)
-                except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+                except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
                     raise corrupt(f"{type(exc).__name__}: {exc}") from None
         if header is None:
             raise LinearKVError("trace-missing-header", path)

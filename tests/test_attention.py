@@ -1,14 +1,18 @@
-"""Kernel tests: frozen examples, invariants, and brute-force oracle sweeps."""
+"""Softmax kernels and decoder attention against the brute-force references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from linear_kv.attention import attention, softmax_inplace, softmax_rows
+from linear_kv.attention import softmax_inplace, softmax_rows
+from linear_kv.baselines import make_policy
+from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
+from linear_kv.grid import GridSpec, budget_from_ratio
 from linear_kv.oracles import attention_reference, softmax_rows_reference
 
 
@@ -82,61 +86,41 @@ class TestSoftmaxRows:
             np.testing.assert_allclose(softmax_rows(rows), expected, atol=1e-9)
 
 
-class TestAttention:
-    def test_single_key_returns_its_value(self):
-        q = np.array([1.0, -2.0, 0.5])
-        k = np.array([[0.3, 0.1, -0.7]])
-        v = np.array([[4.0, 5.0, 6.0]])
-        np.testing.assert_allclose(attention(q, k, v), v[0], atol=1e-12)
+class TestDecoderAttention:
+    """Layer 0 of real decode steps, recomputed with the pure-Python references."""
 
-    def test_identical_keys_average_values(self):
-        q = np.array([2.0, 0.0])
-        k = np.tile([1.0, 1.0], (4, 1))
-        v = np.arange(8, dtype=float).reshape(4, 2)
-        np.testing.assert_allclose(attention(q, k, v), v.mean(axis=0), atol=1e-12)
-
-    def test_empty_cache_rejected(self):
-        with pytest.raises(LinearKVError) as err:
-            attention(np.ones(3), np.empty((0, 3)), np.empty((0, 3)))
-        assert err.value.code == "empty-cache"
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(LinearKVError) as err:
-            attention(np.ones(3), np.ones((2, 4)), np.ones((2, 4)))
-        assert err.value.code == "shape-mismatch"
-
-    def test_kv_row_mismatch_rejected(self):
-        with pytest.raises(LinearKVError) as err:
-            attention(np.ones(3), np.ones((2, 3)), np.ones((3, 3)))
-        assert err.value.code == "shape-mismatch"
-
-    def test_duplicating_every_pair_changes_nothing(self):
-        rng = np.random.default_rng(11)
-        q = rng.normal(size=5)
-        k = rng.normal(size=(6, 5))
-        v = rng.normal(size=(6, 5))
-        doubled = attention(q, np.vstack([k, k]), np.vstack([v, v]))
-        np.testing.assert_allclose(doubled, attention(q, k, v), atol=1e-9)
-
-    @settings(max_examples=50)
-    @given(st.integers(0, 2**32 - 1))
-    def test_output_stays_in_value_hull(self, seed):
-        rng = np.random.default_rng(seed)
-        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 6))
-        q = rng.normal(size=d)
-        k = rng.normal(size=(m, d))
-        v = rng.normal(size=(m, d))
-        out = attention(q, k, v)
-        assert (out <= v.max(axis=0) + 1e-9).all()
-        assert (out >= v.min(axis=0) - 1e-9).all()
-
-    def test_matches_double_loop_reference(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            m, d = int(rng.integers(1, 10)), int(rng.integers(1, 9))
-            q = rng.normal(size=d)
-            k = rng.normal(size=(m, d))
-            v = rng.normal(size=(m, d))
-            scale = 1.0 / math.sqrt(d)
-            expected = attention_reference(q.tolist(), k.tolist(), v.tolist(), scale)
-            np.testing.assert_allclose(attention(q, k, v), expected, atol=1e-9)
+    @pytest.mark.parametrize("heads, kv_heads", [(2, 2), (4, 2)], ids=["mha", "gqa"])
+    def test_recorded_probs_match_references(self, heads, kv_heads):
+        mc = ModelConfig(layers=2, heads=heads, kv_heads=kv_heads, head_dim=8, vocab=64,
+                         cond_len=4, seed=5)
+        spec = GridSpec(8, 8)
+        decoder = RasterDecoder(mc)
+        state = decoder.prefill(
+            synth_condition(mc), spec, budget_from_ratio(spec, Fraction(3, 8)),
+            make_policy("lineattn"), trace_attention=True,
+        )
+        group = heads // kv_heads
+        scale = 1.0 / math.sqrt(mc.head_dim)
+        checked = 0
+        # before any eviction, right after the first one, and on the last line
+        for step in range(spec.total):
+            prev = state.tokens[-1] if state.tokens else state.cond_tokens[-1]
+            q = (decoder.embed[prev] @ decoder.layers[0].wq).reshape(heads, mc.head_dim)
+            keys, values = (a.copy() for a in state.cache.span(0))
+            decoder.decode_step(state)
+            if step not in (0, 1, 9, 24, 25, 40, 63):
+                continue
+            probs = state.last_step["attn"][0]["probs"]
+            assert probs.shape == (heads, keys.shape[1])
+            for h in range(heads):
+                k, v = keys[h // group], values[h // group]
+                logits = [float(q[h] @ row) * scale for row in k]
+                want = softmax_rows_reference([logits])[0]
+                np.testing.assert_allclose(probs[h], want, atol=1e-9)
+                out = attention_reference(q[h].tolist(), k.tolist(), v.tolist(), scale)
+                np.testing.assert_allclose(probs[h] @ v, out, atol=1e-9)
+                # a convex combination stays inside the value rows' hull
+                assert (np.asarray(out) <= v.max(axis=0) + 1e-9).all()
+                assert (np.asarray(out) >= v.min(axis=0) - 1e-9).all()
+            checked += 1
+        assert checked == 7

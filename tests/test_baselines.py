@@ -7,11 +7,11 @@ import pytest
 
 from linear_kv.baselines import (
     POLICY_NAMES,
-    h2o_evict,
     make_policy,
     random_evict,
     streaming_retain,
 )
+from linear_kv.cache import VisualKVCache
 from linear_kv.errors import ConfigError, LinearKVError
 from linear_kv.grid import BudgetConfig, GridSpec
 from linear_kv.oracles import streaming_retained_reference
@@ -82,21 +82,30 @@ class TestStreamingRetain:
                     assert got == want, (n_init, budget_lines, line)
 
 
-class TestH2OEvict:
-    def test_equal_histories_evict_oldest(self):
-        hist = np.full(12, 0.5)
-        mid = np.arange(2, 10)
-        assert h2o_evict(hist, mid, 3).tolist() == [2, 3, 4]
+def bound_h2o(mass, width):
+    """An ``h2o`` policy bound to a one-head store whose tracker holds ``mass``."""
+    cache = VisualKVCache(1, 1, 2, 1, len(mass))
+    policy = make_policy("h2o")
+    policy.bind(cache, 1, GridSpec(8, width), FIG_CFG, seed=0)
+    for _ in mass:
+        policy.notify_append(0)
+    policy.observe_attention(0, np.asarray(mass, dtype=float)[None, :])
+    return cache, policy
+
+
+class TestH2OSelect:
+    def test_equal_masses_evict_oldest(self):
+        cache, policy = bound_h2o(np.full(12, 0.5), width=3)
+        assert policy.select(cache, 3, 0, slice(2, 10)).tolist() == [[2, 3, 4]]
 
     def test_low_mass_goes_first(self):
-        hist = np.array([9.0, 9.0, 0.1, 5.0, 0.2, 9.0])
-        mid = np.array([1, 2, 3, 4])
-        assert h2o_evict(hist, mid, 2).tolist() == [2, 4]
+        cache, policy = bound_h2o([9.0, 9.0, 0.1, 5.0, 0.2, 9.0], width=2)
+        assert policy.select(cache, 3, 0, slice(1, 5)).tolist() == [[2, 4]]
 
 
 class TestRegistry:
     def test_all_names_construct(self):
-        assert set(POLICY_NAMES) == {"lineattn", "random", "streaming", "h2o", "attacc", "full"}
+        assert set(POLICY_NAMES) == {"lineattn", "random", "streaming", "h2o", "full"}
         for name in POLICY_NAMES:
             assert make_policy(name).name == name
 

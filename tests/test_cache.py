@@ -38,6 +38,13 @@ class TestAppend:
             cache.append(0, np.zeros((1, 4)), np.zeros((1, 4)), 2)
         assert err.value.code == "position-regression"
 
+    def test_negative_position_rejected(self):
+        cache = make_cache([], capacity=4)
+        with pytest.raises(LinearKVError) as err:
+            cache.append(0, np.zeros((1, 4)), np.zeros((1, 4)), -1)
+        assert err.value.code == "position-out-of-grid"
+        assert cache.visual_len(0, 0) == 0
+
     def test_values_survive_growth(self):
         # the store fills to its fixed capacity and one more append is refused
         cache = make_cache(list(range(40)))

@@ -1,13 +1,15 @@
 """End-to-end command-line runs in temporary directories."""
 
+import argparse
 import base64
 import csv
 import json
 import os
+import re
 
 import pytest
 
-from linear_kv.cli import main
+from linear_kv.cli import build_parser, main
 from linear_kv.trace import DecodeTrace
 
 SMALL = [
@@ -186,13 +188,6 @@ def test_out_under_a_regular_file_is_io_error(tmp_path, capsys, command):
     assert blocker.read_text() == "x"
 
 
-def test_oracle_passes(capsys):
-    assert main(["oracle", "--trials", "25"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.endswith("ok") for line in lines)
-
-
 def test_ablate_arms(tmp_path):
     out = str(tmp_path)
     assert main(["ablate", *SMALL, "--out", out]) == 0
@@ -202,7 +197,80 @@ def test_ablate_arms(tmp_path):
     assert arms == ["base", "disable-init", "disable-rec", "disable-mid", "attacc"]
     by_arm = {r[0]: r for r in rows[1:]}
     assert by_arm["disable-mid"][1] == "streaming"
+    assert by_arm["attacc"][1] == "h2o"
     assert by_arm["disable-init"][2] == "0"
     assert by_arm["disable-rec"][3] == "0"
     for arm in arms:
         assert os.path.exists(os.path.join(out, f"trace_{arm}.jsonl"))
+
+
+# -- coded errors instead of tracebacks -------------------------------------
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_bytes(b"\xff\xfe")
+    return ["generate", "--config", str(path)]
+
+
+def _deeply_nested_trace(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000 + "\n")
+    return ["analyze", "--trace", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (lambda tmp: ["generate", *SMALL, "--seed", "-1"], "model-config-invalid"),
+        (lambda tmp: ["bench", *SMALL, "--rhos", "1/2", "--seeds", "-1"], "model-config-invalid"),
+        (_non_utf8_config, "value-parse"),
+        (_deeply_nested_trace, "trace-corrupt"),
+    ],
+    ids=["generate-negative-seed", "bench-negative-seed", "non-utf8-config", "nested-trace"],
+)
+def test_bad_input_is_a_coded_error(tmp_path, capsys, argv, code):
+    assert main([*argv(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {code}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_config_names_the_file(tmp_path, capsys):
+    argv = _non_utf8_config(tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert str(tmp_path / "run.txt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", *SMALL, "--rho", "1/5"], "budget-not-line-aligned"),
+        (["bench", *SMALL, "--rhos", "2"], "rho-out-of-range"),
+        (["analyze", "--trace", "{tmp}/absent.jsonl"], "io-error"),
+        (["ablate", *SMALL, "--grid", "0x4"], "grid-degenerate"),
+    ],
+    ids=["generate", "bench", "analyze", "ablate"],
+)
+def test_exit_code_contract(tmp_path, capsys, argv, code):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {code}")
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle"], ["generate", "--policy", "attacc"]], ids=["oracle", "attacc"]
+)
+def test_removed_names_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_names_exactly_the_subcommands():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        named = set(re.findall(r"^linear-kv (\S+)", fh.read(), flags=re.MULTILINE))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)

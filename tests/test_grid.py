@@ -6,25 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from linear_kv.errors import ConfigError, LinearKVError
-from linear_kv.grid import BudgetConfig, GridSpec, budget_from_ratio, line_of
-
-
-class TestLineOf:
-    def test_first_position(self):
-        assert line_of(GridSpec(8, 8), 0) == 0
-
-    def test_last_of_third_line(self):
-        assert line_of(GridSpec(8, 8), 23) == 2
-
-    def test_last_position_of_24_wide_grid(self):
-        assert line_of(GridSpec(24, 24), 575) == 23
-
-    @pytest.mark.parametrize("position", [-1, 64])
-    def test_out_of_grid(self, position):
-        with pytest.raises(LinearKVError) as err:
-            line_of(GridSpec(8, 8), position)
-        assert err.value.code == "position-out-of-grid"
+from linear_kv.errors import ConfigError
+from linear_kv.grid import BudgetConfig, GridSpec, budget_from_ratio
 
 
 class TestBudgetFromRatio:
@@ -104,6 +87,27 @@ class TestBudgetFromRatio:
             return
         assert cfg.budget == lines * width
         assert cfg.budget % width == 0
+
+    @given(st.integers(1, 24), st.integers(1, 6), st.fractions(0, 1, max_denominator=60))
+    def test_misaligned_names_the_nearest_line_ratios(self, height, width, rho):
+        spec = GridSpec(height, width)
+        valid = [Fraction(k, height) for k in range(1, height + 1)]
+        if rho == 0 or rho in valid:
+            return
+        below = [str(v) for v in valid if v < rho][-1:]
+        above = [str(v) for v in valid if v > rho][:1]
+        with pytest.raises(ConfigError) as err:
+            budget_from_ratio(spec, rho)
+        assert err.value.code == "budget-not-line-aligned"
+        assert str(err.value).endswith("nearest valid ratios: " + ", ".join(below + above))
+
+    def test_misaligned_on_a_huge_grid_is_closed_form(self):
+        # the neighbours come from rho * height, not from listing every line
+        with pytest.raises(ConfigError) as err:
+            budget_from_ratio(GridSpec(10**12, 3), Fraction(1, 7))
+        assert str(err.value).endswith(
+            "nearest valid ratios: 142857142857/1000000000000, 71428571429/500000000000"
+        )
 
     def test_validate_flags_wrong_budget(self):
         cfg = BudgetConfig(Fraction(3, 8), 23, 8, 1)

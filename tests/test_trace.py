@@ -206,6 +206,12 @@ class TestRejectedFiles:
         assert err.value.code == "trace-corrupt"
         assert ":7: " in str(err.value)
 
+    def test_out_of_range_number_in_the_summary(self, tmp_path):
+        records = _records(make_trace())
+        records[-1]["final_hidden"] = [10**400]
+        message = _expect("trace-corrupt", tmp_path, records)
+        assert f":{len(records)}: OverflowError" in message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(LinearKVError) as err:
             DecodeTrace.read(str(tmp_path / "absent.jsonl"))
