@@ -4,14 +4,19 @@ Three views of where attention mass goes during a run: the conditional
 versus visual split per step, the cosine overlap between adjacent lines'
 attention on their shared prefix, and a raster-distance histogram. All of
 them consume traces recorded with attention enabled; runs without it raise
-``trace-missing-attention``. Each view is one pass over the per-(step,
-layer) attention arrays; the public single-value functions read the same
-tables the file emitters write.
+``trace-missing-attention``. Each view works on one layer at a time, over
+the visual entries of all its steps laid side by side in step order. Sums
+per raster position are ``np.bincount`` calls, which add their terms in
+the order a per-step loop would, and sums within one attention row stay
+contiguous ``.sum()`` calls, so the outputs match a per-step loop bit for
+bit. The public single-value functions read the same tables the file
+emitters write.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +38,12 @@ class Allocation:
     visual_mean: float
 
 
-def _checked_cond_mass(probs: np.ndarray, cond_len: int) -> np.ndarray:
-    """Conditional mass of each row of ``probs`` ``(rows, span)``, after
-    checking that every row is normalized."""
-    totals = probs.sum(axis=1)
+def _check_normalized(totals: np.ndarray) -> None:
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOLERANCE
     if bad.any():
         raise LinearKVError(
             "non-normalized-attention", f"row sums to {totals[bad][0]}, expected 1"
         )
-    if not 1 <= cond_len <= probs.shape[1]:
-        raise LinearKVError("shape-mismatch", f"cond_len {cond_len} vs row of {probs.shape[1]}")
-    return probs[:, :cond_len].sum(axis=1)
 
 
 def attention_allocation(row, cond_len: int) -> Allocation:
@@ -54,7 +53,10 @@ def attention_allocation(row, cond_len: int) -> Allocation:
     block; an empty visual block (the very first step) has mean zero.
     """
     r = np.asarray(row, dtype=np.float64)
-    cond_mass = float(_checked_cond_mass(r[None], cond_len)[0])
+    _check_normalized(r.sum(keepdims=True))
+    if not 1 <= cond_len <= r.size:
+        raise LinearKVError("shape-mismatch", f"cond_len {cond_len} vs row of {r.size}")
+    cond_mass = float(r[:cond_len].sum())
     visual_mass = 1.0 - cond_mass
     visual_count = r.size - cond_len
     return Allocation(
@@ -65,29 +67,61 @@ def attention_allocation(row, cond_len: int) -> Allocation:
     )
 
 
-def _attention(trace: DecodeTrace):
-    """Every (layer, step), layer by layer, with the step's attention in that
-    layer: the cached positions with one row per query head ``(heads,
-    visual)``, and the probabilities ``(heads, span)``."""
+@dataclass(frozen=True)
+class _LayerAttention:
+    """One layer's attention over a whole run. ``probs`` keeps each step's
+    ``(heads, span)`` array; the visual entries of every step stand side by
+    side in step order, one row per query head: their probabilities and
+    cached positions ``(heads, entries)`` and the step of each entry
+    ``(entries,)``. Step ``s`` owns entries ``start[s] : start[s] + count[s]``."""
+
+    probs: list
+    visual: np.ndarray
+    positions: np.ndarray
+    step: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+
+def _layer_attention(trace: DecodeTrace, layer: int) -> _LayerAttention:
     if not trace.steps or trace.steps[0].attn is None:
         raise LinearKVError(
             "trace-missing-attention", "run was not recorded with attention enabled"
         )
     cfg = trace.config
-    group = cfg["heads"] // cfg["kv_heads"]
-    for layer in range(cfg["layers"]):
-        for step in trace.steps:
-            rec = step.attn[layer]
-            positions = np.repeat(np.asarray(rec["kv_positions"], dtype=np.int64), group, axis=0)
-            yield layer, step, positions, np.asarray(rec["probs"], dtype=np.float64)
+    cond = cfg["cond_len"]
+    probs = [np.asarray(s.attn[layer]["probs"], dtype=np.float64) for s in trace.steps]
+    count = np.array([p.shape[1] for p in probs]) - cond
+    if not 1 <= cond <= cond + count.min():
+        raise LinearKVError("shape-mismatch", f"cond_len {cond} vs row of {cond + count.min()}")
+    kv = [np.asarray(s.attn[layer]["kv_positions"], dtype=np.int64) for s in trace.steps]
+    visual = np.concatenate([p[:, cond:] for p in probs], axis=1)
+    positions = np.repeat(np.concatenate(kv, axis=1), cfg["heads"] // cfg["kv_heads"], axis=0)
+    if positions.shape != visual.shape:
+        raise LinearKVError(
+            "shape-mismatch", f"positions {positions.shape} vs visual attention {visual.shape}"
+        )
+    step = np.repeat(np.arange(len(probs)), count)
+    return _LayerAttention(probs, visual, positions, step, np.cumsum(count) - count, count)
+
+
+def _bins(index: np.ndarray, shape: tuple, weights=None) -> np.ndarray:
+    """``np.bincount`` of flat ``index`` into an array of ``shape``. It adds
+    the weights in the order given, so with entries in step order every bin
+    sums its terms in the order a per-step ``+=`` would."""
+    return np.bincount(index, weights, minlength=math.prod(shape)).reshape(shape)
 
 
 def _cond_masses(trace: DecodeTrace) -> np.ndarray:
-    """Conditional mass of every attention row, ``(steps, layers, heads)``."""
+    """Conditional mass of every attention row, ``(steps, layers, heads)``,
+    after checking that every row is normalized."""
     cfg = trace.config
+    cond = cfg["cond_len"]
     out = np.empty((len(trace.steps), cfg["layers"], cfg["heads"]))
-    for layer, step, _, probs in _attention(trace):
-        out[step.index, layer] = _checked_cond_mass(probs, cfg["cond_len"])
+    for layer in range(cfg["layers"]):
+        att = _layer_attention(trace, layer)
+        _check_normalized(np.array([p.sum(axis=1) for p in att.probs]))
+        out[:, layer] = np.stack([p[:, :cond] for p in att.probs]).sum(axis=2)
     return out
 
 
@@ -98,25 +132,25 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def _interline_table(trace: DecodeTrace) -> np.ndarray:
     """Cosine of every (layer, head, line) with the next line,
-    ``(layers, heads, height - 1)``. A line's attention mass is summed per
-    raster position in one ``(heads, height * width)`` array; the previous
-    line's mean stays live until its cosines with this line are taken."""
+    ``(layers, heads, height - 1)``. Each line's mean attention mass per
+    raster position is one ``(heads, height, height * width)`` count over
+    the layer's entries."""
     cfg = trace.config
-    width, cond, heads = cfg["width"], cfg["cond_len"], cfg["heads"]
-    out = np.zeros((cfg["layers"], heads, cfg["height"] - 1))
-    head_rows = np.arange(heads)[:, None]
-    for layer, step, positions, probs in _attention(trace):
-        if step.index % width == 0:
-            # the shared support: every entry cached when the line began
-            support = [row[row < step.index] for row in positions]
-            acc = np.zeros((heads, cfg["height"] * width))
-        acc[head_rows, positions] += probs[:, cond:]
-        if step.index % width == width - 1:
-            mean = acc / width
-            if step.line > 1:
-                for head, keys in enumerate(prev_support):
-                    out[layer, head, step.line - 2] = _cosine(prev[head, keys], mean[head, keys])
-            prev_support, prev = support, mean
+    height, width, heads = cfg["height"], cfg["width"], cfg["heads"]
+    cells = height * width
+    out = np.zeros((cfg["layers"], heads, height - 1))
+    for layer in range(cfg["layers"]):
+        att = _layer_attention(trace, layer)
+        line = att.step // width
+        index = ((np.arange(heads)[:, None] * height + line) * cells + att.positions).ravel()
+        mean = _bins(index, (heads, height, cells), att.visual.ravel()) / width
+        for prev in range(height - 1):
+            # the shared support: every entry cached when the earlier line began
+            first = prev * width
+            at = att.start[first]
+            support = att.positions[:, at : at + att.count[first]]
+            for head, keys in enumerate(support):
+                out[layer, head, prev] = _cosine(mean[head, prev, keys], mean[head, prev + 1, keys])
     return out
 
 
@@ -147,30 +181,39 @@ class LocalityProfile:
 def _locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfile]:
     """The locality profile of every (layer, head), layer by layer."""
     cfg = trace.config
-    layers, heads, cond, n_init = cfg["layers"], cfg["heads"], cfg["cond_len"], cfg["n_init"]
-    anchor = np.zeros((layers, heads))
-    total = np.zeros((layers, heads))
-    mass = np.zeros((layers, heads, cfg["height"] * cfg["width"]))
-    seen = np.zeros(mass.shape, dtype=bool)
-    for layer, step, positions, probs in _attention(trace):
-        if positions.shape[1] == 0:
-            continue
-        visual = probs[:, cond:]
-        total[layer] += visual.sum(axis=1)
-        # positions are sorted, so each row's anchors are a prefix of it
-        for head, count in enumerate(np.count_nonzero(positions < n_init, axis=1).tolist()):
-            anchor[layer, head] += visual[head, :count].sum()
-        rows, cols = np.nonzero(positions >= n_init)
-        dist = step.index - positions[rows, cols]
-        mass[layer, rows, dist] += visual[rows, cols]
-        seen[layer, rows, dist] = True
+    heads, n_init, steps = cfg["heads"], cfg["n_init"], len(trace.steps)
+    cells = cfg["height"] * cfg["width"]
+    head_offset = np.arange(heads)[:, None]
     profiles = {}
-    for layer, head in np.ndindex(layers, heads):
-        dists = np.flatnonzero(seen[layer, head])
-        by_dist = dict(zip(dists.tolist(), mass[layer, head, dists].tolist()))
-        profiles[layer, head] = LocalityProfile(
-            anchor[layer, head].item(), by_dist, total[layer, head].item()
-        )
+    for layer in range(cfg["layers"]):
+        att = _layer_attention(trace, layer)
+        is_anchor = att.positions < n_init
+        anchor_count = _bins((att.step + steps * head_offset)[is_anchor], (heads, steps))
+        # positions are sorted, so each row's anchors are a prefix of its
+        # step's entries; each prefix is summed as one contiguous run (a
+        # C-ordered gather keeps it the reduction's inner loop), and the
+        # steps are then accumulated in order
+        sums = np.zeros((steps, heads))
+        full = (anchor_count == n_init).all(axis=0)
+        prefix = att.start[full][:, None] + np.arange(n_init)
+        sums[full] = np.take(att.visual, prefix, axis=1).sum(axis=2).T
+        for step in np.flatnonzero(~full).tolist():
+            at = att.start[step]
+            for head, count in enumerate(anchor_count[:, step].tolist()):
+                sums[step, head] = att.visual[head, at : at + count].sum()
+        anchor = np.cumsum(sums, axis=0)[-1]
+        total = att.visual.sum(axis=1)
+        # anchors add zero to distance 0, a bin no other entry reaches
+        dist = np.where(is_anchor, 0, att.step - att.positions)
+        index = (dist + cells * head_offset).ravel()
+        mass = _bins(index, (heads, cells), np.where(is_anchor, 0.0, att.visual).ravel())
+        seen = _bins(index, (heads, cells), ~is_anchor.ravel()) > 0
+        for head in range(heads):
+            dists = np.flatnonzero(seen[head])
+            by_dist = dict(zip(dists.tolist(), mass[head, dists].tolist()))
+            profiles[layer, head] = LocalityProfile(
+                anchor[head].item(), by_dist, total[head].item()
+            )
     return profiles
 
 

@@ -188,28 +188,35 @@ def run_sweep(
     n_init: int | None = None,
     recent_lines: int | None = None,
 ) -> str:
-    """Run every (policy, rho, seed) cell, writing per-run step CSVs plus a
-    long-format summary.csv. Returns the summary path."""
+    """Run every distinct (policy, rho, seed) cell once, writing per-run step
+    CSVs plus a long-format summary.csv. ``full`` always runs at rho one, so
+    it is one cell whatever ``rhos`` holds. Each seed builds one decoder and
+    one condition for all of its cells. Returns the summary path."""
     base = model if model is not None else ModelConfig()
-    summary_rows = []
+    cells = {}
     for policy_name in policies:
         for rho in rhos:
             effective = Fraction(1) if policy_name == "full" else Fraction(rho)
-            cfg = budget_from_ratio(spec, effective, n_init=n_init, recent_lines=recent_lines)
-            for seed in seeds:
-                mc = replace(base, seed=seed)
-                decoder = RasterDecoder(mc)
-                trace = decoder.generate(
-                    synth_condition(mc), spec, cfg, make_policy(policy_name)
-                )
-                name = f"steps_{policy_name}_{_rho_slug(effective)}_seed{seed}.csv"
-                rows = step_rows(trace, policy_name, effective)
-                write_csv(os.path.join(out_dir, name), STEP_COLUMNS, rows)
-                stats = summarize(trace)
-                for metric in SUMMARY_METRICS:
-                    summary_rows.append(
-                        [policy_name, str(effective), seed, metric, stats[metric]]
-                    )
+            if (policy_name, effective) not in cells:
+                cfg = budget_from_ratio(spec, effective, n_init=n_init, recent_lines=recent_lines)
+                cells[policy_name, effective] = cfg
+    seeds = list(dict.fromkeys(seeds))
+    stats = {}
+    for seed in seeds:
+        mc = replace(base, seed=seed)
+        decoder = RasterDecoder(mc)
+        cond = synth_condition(mc)
+        for (policy_name, rho), cfg in cells.items():
+            trace = decoder.generate(cond, spec, cfg, make_policy(policy_name))
+            name = f"steps_{policy_name}_{_rho_slug(rho)}_seed{seed}.csv"
+            write_csv(os.path.join(out_dir, name), STEP_COLUMNS, step_rows(trace, policy_name, rho))
+            stats[policy_name, rho, seed] = summarize(trace)
+    summary_rows = [
+        [policy_name, str(rho), seed, metric, stats[policy_name, rho, seed][metric]]
+        for policy_name, rho in cells
+        for seed in seeds
+        for metric in SUMMARY_METRICS
+    ]
     return write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["policy", "rho", "seed", "metric", "value"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LinearKVError
+from .errors import ConfigError, LinearKVError
 from .grid import BudgetConfig, GridSpec
 
 SNAPSHOT_SCHEMA = 1
@@ -55,9 +55,18 @@ class VisualKVCache:
         # one block per layer; nothing past a layer's length is ever read,
         # so the blocks start uninitialized
         block = (kv_heads, cond_len + capacity, head_dim)
-        self._keys = [np.empty(block) for _ in range(layers)]
-        self._values = [np.empty(block) for _ in range(layers)]
-        self._positions = [np.empty((kv_heads, capacity), dtype=np.int64) for _ in range(layers)]
+        try:
+            self._keys = [np.empty(block) for _ in range(layers)]
+            self._values = [np.empty(block) for _ in range(layers)]
+            self._positions = [
+                np.empty((kv_heads, capacity), dtype=np.int64) for _ in range(layers)
+            ]
+        except MemoryError:
+            raise ConfigError(
+                "model-too-large",
+                f"cannot allocate a cache of {layers} layers x {kv_heads} kv heads x "
+                f"{cond_len + capacity} entries x {head_dim} dimensions",
+            ) from None
         self._len = [0] * layers
         # last appended position per layer; every head receives it, so no
         # head holds a later one

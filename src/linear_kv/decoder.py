@@ -122,19 +122,26 @@ class RasterDecoder:
             w /= math.sqrt(rows)
             return w
 
-        self.embed = rng.standard_normal((cfg.vocab, dim))
-        self.layers = [
-            _LayerWeights(
-                wq=draw(dim, qk),
-                wk=draw(dim, kv),
-                wv=draw(dim, kv),
-                wo=draw(qk, dim),
-                w1=draw(dim, 2 * dim),
-                w2=draw(2 * dim, dim),
-            )
-            for _ in range(cfg.layers)
-        ]
-        self.unembed = draw(dim, cfg.vocab)
+        try:
+            self.embed = rng.standard_normal((cfg.vocab, dim))
+            self.layers = [
+                _LayerWeights(
+                    wq=draw(dim, qk),
+                    wk=draw(dim, kv),
+                    wv=draw(dim, kv),
+                    wo=draw(qk, dim),
+                    w1=draw(dim, 2 * dim),
+                    w2=draw(2 * dim, dim),
+                )
+                for _ in range(cfg.layers)
+            ]
+            self.unembed = draw(dim, cfg.vocab)
+        except MemoryError:
+            raise ConfigError(
+                "model-too-large",
+                f"cannot allocate the weights of {cfg.layers} layers, {cfg.heads} heads of "
+                f"dimension {cfg.head_dim} and a vocabulary of {cfg.vocab}",
+            ) from None
         self.scale = 1.0 / math.sqrt(cfg.head_dim)
 
     # -- setup ---------------------------------------------------------------

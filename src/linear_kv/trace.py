@@ -16,12 +16,14 @@ timing field anywhere in the file; :meth:`DecodeTrace.canonical_body` drops
 it so byte comparison between runs ignores wall-clock noise. Headers carry
 no clock data at all.
 
-``attn`` holds one ``{"kv_positions", "probs"}`` object per layer. Each
-value is the base64 text of a little-endian array whose shape follows from
-the header config and the step's ``span``: ``kv_positions`` is ``<i8`` of
-shape ``(kv_heads, span - cond_len)``, each row ascending and below ``i``;
-``probs`` is ``<f8`` of shape ``(heads, span)``. Schema 1, which stored the
-same values as JSON number lists, is rejected.
+``attn`` holds one ``{"probs"}`` object per layer: the base64 text of a
+little-endian ``<f8`` array of shape ``(heads, span)``, its shape following
+from the header config and the step's ``span``. The cached positions each
+row attends over are not stored: the cache at step ``i`` holds positions
+``0 .. i-1`` minus every position an eviction record has named, so
+:meth:`DecodeTrace.read` rebuilds each step's ``kv_positions`` of shape
+``(kv_heads, span - cond_len)`` from the eviction records as it reads them.
+Schemas 1 and 2, which stored the positions of every step, are rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import LinearKVError
 from .policy import EvictionEvent
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 TIMING_FIELDS = ("step_ns",)
 
 
@@ -78,7 +80,8 @@ class StepRecord:
     (conditional plus visual, before this step's append); ``visual_len`` is
     the per-head store length after the append and any compression.
     ``attn``, when recorded, holds per layer ``kv_positions``
-    ``(kv_heads, span - cond_len)`` and ``probs`` ``(heads, span)``."""
+    ``(kv_heads, span - cond_len)`` and ``probs`` ``(heads, span)``; a trace
+    file stores only ``probs``."""
 
     index: int
     line: int
@@ -101,28 +104,54 @@ def _decode(text: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _attn_to_json(attn):
-    return [
-        {
-            "kv_positions": _encode(rec["kv_positions"], "<i8"),
-            "probs": _encode(rec["probs"], "<f8"),
-        }
-        for rec in attn
-    ]
+    return [{"probs": _encode(rec["probs"], "<f8")} for rec in attn]
 
 
-def _attn_from_json(attn, config: dict, span: int, index: int):
-    if len(attn) != config["layers"]:
-        raise ValueError(f"attention for {len(attn)} layers, expected {config['layers']}")
-    visual = (config["kv_heads"], span - config["cond_len"])
-    out = []
-    for rec in attn:
-        positions = _decode(rec["kv_positions"], "<i8", visual)
-        # analysis indexes by these positions and takes the anchors as a prefix
-        if (np.diff(positions, prepend=-1, append=index) <= 0).any():
-            raise ValueError(f"kv_positions are not increasing positions in [0, {index})")
-        probs = _decode(rec["probs"], "<f8", (config["heads"], span))
-        out.append({"kv_positions": positions, "probs": probs})
-    return out
+def _int(value, what: str, nullable: bool = False):
+    """``value`` if it is an integer (``bool`` is not), else ``ValueError``."""
+    if type(value) is int or (nullable and value is None):
+        return value
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+class _CachedPositions:
+    """The raster positions each (layer, kv head) holds while a trace is read:
+    every step hands out a copy of the live rows and then appends its own
+    index; an eviction record removes its positions from one row."""
+
+    def __init__(self, config: dict):
+        layers, heads, kv_heads = config["layers"], config["heads"], config["kv_heads"]
+        if not 1 <= _int(kv_heads, "kv_heads") <= heads or heads % kv_heads:
+            raise ValueError(f"kv_heads {kv_heads} does not divide heads {heads}")
+        total = config["height"] * config["width"]
+        self.rows = np.empty((layers, kv_heads, total), dtype=np.int64)
+        self.lens = np.zeros((layers, kv_heads), dtype=np.int64)
+
+    def step(self, index: int, visual: int) -> np.ndarray:
+        """The ``(layers, kv_heads, visual)`` rows step ``index`` attends over."""
+        if (self.lens != visual).any():
+            held = sorted(set(self.lens.ravel().tolist()))
+            raise ValueError(f"span leaves {visual} visual entries, the cache holds {held}")
+        rows = self.rows[:, :, :visual].copy()
+        self.rows[:, :, visual] = index
+        self.lens += 1
+        return rows
+
+    def evict(self, ev: EvictionEvent) -> None:
+        layers, kv_heads = self.lens.shape
+        if not (0 <= ev.layer < layers and 0 <= ev.head < kv_heads):
+            raise ValueError(f"layer {ev.layer} head {ev.head} outside {layers}x{kv_heads}")
+        n = self.lens[ev.layer, ev.head]
+        row = self.rows[ev.layer, ev.head, :n]
+        evicted = np.array(ev.evicted_positions, dtype=np.int64)
+        keep = ~np.isin(row, evicted)
+        # strictly increasing means distinct, so every one must be cached
+        if (np.diff(evicted) <= 0).any() or n - keep.sum() != evicted.size:
+            raise ValueError("evicted positions are not increasing cached positions")
+        if n - evicted.size != ev.post_len:
+            raise ValueError(f"{n - evicted.size} entries left, post_len {ev.post_len}")
+        self.rows[ev.layer, ev.head, : ev.post_len] = row[keep]
+        self.lens[ev.layer, ev.head] = ev.post_len
 
 
 @dataclass
@@ -190,13 +219,15 @@ class DecodeTrace:
     @classmethod
     def read(cls, path: str) -> "DecodeTrace":
         """Parse and validate a trace file. A file that cannot be opened
-        raises ``io-error``; malformed JSON, payloads or record order raise
+        raises ``io-error``; malformed JSON, payloads or record order, and
+        eviction records or spans that disagree with the rebuilt cache, raise
         ``trace-corrupt`` with the offending line number."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
         header, summary, steps, evictions, lineno = None, None, [], [], 0
+        cached = None
 
         def corrupt(message):
             return LinearKVError("trace-corrupt", f"{path}:{lineno}: {message}")
@@ -218,28 +249,52 @@ class DecodeTrace:
                         config = header["config"]
                         width, total = config["width"], config["height"] * config["width"]
                     elif kind == "step":
-                        i, line, span = rec["i"], rec["line"], rec["span"]
+                        i, line, span = (_int(rec[k], k) for k in ("i", "line", "span"))
                         if i != len(steps) or i >= total or line != i // width + 1:
                             raise corrupt(f"step {i} on line {line} out of order")
                         attn = rec.get("attn")
                         if attn is not None:
-                            attn = _attn_from_json(attn, config, span, i)
+                            if len(attn) != config["layers"]:
+                                raise ValueError(
+                                    f"attention for {len(attn)} layers, expected {config['layers']}"
+                                )
+                            if i == 0:
+                                cached = _CachedPositions(config)
+                        if (attn is None) != (cached is None):
+                            raise corrupt("attention on some steps and not on others")
+                        if attn is not None:
+                            positions = cached.step(i, span - config["cond_len"])
+                            shape = (config["heads"], span)
+                            attn = [
+                                {"kv_positions": kv, "probs": _decode(layer["probs"], "<f8", shape)}
+                                for kv, layer in zip(positions, attn)
+                            ]
                         steps.append(StepRecord(
-                            i, line, rec["token"], span, rec["visual_len"], rec.get("step_ns"), attn
+                            i, line, _int(rec["token"], "token"), span,
+                            _int(rec["visual_len"], "visual_len"),
+                            _int(rec.get("step_ns"), "step_ns", nullable=True), attn,
                         ))
                     elif kind == "eviction":
+                        positions = rec["evicted_positions"]
+                        if type(positions) is not list:
+                            raise ValueError(f"evicted_positions {positions!r} is not a list")
                         ev = EvictionEvent(
-                            rec["line"], rec["layer"], rec["head"],
-                            list(rec["evicted_positions"]), rec["post_len"],
+                            *(_int(rec[k], k) for k in ("line", "layer", "head")),
+                            [_int(p, "evicted position") for p in positions],
+                            _int(rec["post_len"], "post_len"),
                         )
                         if len(steps) != ev.line * width:
                             raise corrupt(f"eviction of line {ev.line} out of order")
+                        if cached is not None:
+                            cached.evict(ev)
                         evictions.append(ev)
                     elif kind == "summary":
                         summary = rec
                         hidden = rec.get("final_hidden")
                         final_hidden = None if hidden is None else np.asarray(hidden, np.float64)
-                except (ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
+                except (
+                    ValueError, KeyError, TypeError, ArithmeticError, RecursionError, MemoryError
+                ) as exc:
                     raise corrupt(f"{type(exc).__name__}: {exc}") from None
         if header is None:
             raise LinearKVError("trace-missing-header", path)

@@ -262,15 +262,19 @@ class TestEmitters:
         assert payload["config"]["policy"] == "lineattn"
 
 
-# sha256 of the four ``analyze`` outputs, recorded with the per-position
-# loop implementation that preceded the array emitters. Both cases decode an
-# 8x8 grid at rho 5/8 with evictions on lines 5-7, so later lines attend over
-# caches with holes; ``n_init=3`` puts the anchor boundary inside a line.
+# sha256 of the four ``analyze`` outputs. The first two cases were recorded
+# with the per-position loop implementation that preceded the array
+# emitters: both decode an 8x8 grid at rho 5/8 with evictions on lines 5-7,
+# so later lines attend over caches with holes; ``n_init=3`` puts the anchor
+# boundary inside a line. The third, recorded before the whole-layer table
+# builders, runs ``streaming`` without anchors on a 12x6 grid at rho 1/2, so
+# every line from 6 on evicts and no step has an anchor bucket to fill.
 PINNED = {
     "lineattn-mha": (
         ModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=11),
         "lineattn",
         3,
+        (8, 8, Fraction(5, 8), [5, 6, 7]),
         {
             "allocation.csv": "fc7830e0ab3ae3208e6dda67a7551cd0f3f042c2e3290b27fdb7abff68b787fd",
             "interline.csv": "fff9620fdd59b04372021c079554f63286cf653d30158d8319cb6d99c3c39bbe",
@@ -282,6 +286,7 @@ PINNED = {
         ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=11),
         "h2o",
         None,
+        (8, 8, Fraction(5, 8), [5, 6, 7]),
         {
             "allocation.csv": "16f9bf03e4c048612a900905954eb8086a218392da6db462607fc670d76089d3",
             "interline.csv": "aa2edb9e46024e3a46c7cd65a9bdee4240cd1451fe9247f06dceaeabe8f9b2b5",
@@ -289,18 +294,30 @@ PINNED = {
             "summary.json": "a1e718d91e52ee257b22d91d9d01fa27dc443aa00c2c70c1cbc260bce3ca51a8",
         },
     ),
+    "streaming-no-anchors": (
+        ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=11),
+        "streaming",
+        0,
+        (12, 6, Fraction(1, 2), [6, 7, 8, 9, 10, 11]),
+        {
+            "allocation.csv": "bf856cf09dbcd197f6f7cf7e2889db1e34a5a267302e15939b8defed27b025a9",
+            "interline.csv": "7690fe3d1c613cd45c507627ae43edccf52b304a2cea0e59e23c9ed2ef0716e4",
+            "locality.csv": "250ed9619c104d78c267a144827112f5acbdae5def0b113bf5a79b0a0c951fa9",
+            "summary.json": "01cfd6e485dc4e361045104cafc4c570b7f07a826caa85ab6adf97a331c46c1d",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_outputs_match_pinned_digests(tmp_path, case):
-    mc, policy, n_init, digests = PINNED[case]
-    spec = GridSpec(8, 8)
-    cfg = budget_from_ratio(spec, Fraction(5, 8), n_init=n_init)
+    mc, policy, n_init, (height, width, rho, lines), digests = PINNED[case]
+    spec = GridSpec(height, width)
+    cfg = budget_from_ratio(spec, rho, n_init=n_init)
     trace = RasterDecoder(mc).generate(
         synth_condition(mc), spec, cfg, make_policy(policy), trace_attention=True
     )
-    assert sorted({e.line for e in trace.evictions}) == [5, 6, 7]
+    assert sorted({e.line for e in trace.evictions}) == lines
     loaded = DecodeTrace.read(trace.write(str(tmp_path / "trace.jsonl")))
     for name, emit in (
         ("allocation.csv", write_allocation_csv),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from linear_kv import bench
 from linear_kv.baselines import make_policy
 from linear_kv.bench import (
     SUMMARY_METRICS,
@@ -170,6 +171,40 @@ class TestSweep:
             "step", "policy", "rho", "entries", "bytes_fp16", "bytes_fp32",
             "flops_proxy", "step_ns",
         ]
+
+    def test_each_distinct_cell_decodes_once(self, tmp_path, monkeypatch):
+        built, decoded = [], []
+
+        class CountingDecoder(RasterDecoder):
+            def __init__(self, cfg):
+                built.append(cfg.seed)
+                super().__init__(cfg)
+
+            def generate(self, cond_tokens, spec, cfg, policy, trace_attention=False):
+                decoded.append((policy.name, cfg.rho, self.cfg.seed))
+                return super().generate(cond_tokens, spec, cfg, policy, trace_attention)
+
+        monkeypatch.setattr(bench, "RasterDecoder", CountingDecoder)
+        summary = run_sweep(
+            GridSpec(8, 4),
+            rhos=[Fraction(1, 2), Fraction(3, 4)],
+            policies=["lineattn", "full"],
+            seeds=[0, 1],
+            model=SMALL,
+            out_dir=str(tmp_path),
+            recent_lines=1,
+        )
+        assert built == [0, 1]
+        assert len(decoded) == len(set(decoded)) == 6  # full runs once, at rho one
+        with open(summary) as fh:
+            keys = [tuple(r[:4]) for r in list(csv.reader(fh))[1:]]
+        assert len(keys) == len(set(keys))
+        cells = [
+            (policy, rho, seed)
+            for policy, rho in (("lineattn", "1/2"), ("lineattn", "3/4"), ("full", "1"))
+            for seed in ("0", "1")
+        ]
+        assert keys == [(*cell, metric) for cell in cells for metric in SUMMARY_METRICS]
 
     def test_step_rows_match_oracle(self):
         trace = run(height=8, width=4, rho=Fraction(1, 2), policy="lineattn")

@@ -6,9 +6,12 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import linear_kv
 from linear_kv.cli import build_parser, main
 from linear_kv.trace import DecodeTrace
 
@@ -274,3 +277,33 @@ def test_readme_names_exactly_the_subcommands():
         named = set(re.findall(r"^linear-kv (\S+)", fh.read(), flags=re.MULTILINE))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(sub.choices)
+
+
+# the address-space limit makes an oversized allocation fail at once; without
+# it the allocation may succeed lazily and then exhaust the machine
+_UNDER_2_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from linear_kv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--vocab", "1000000000000"], "vocabulary of 1000000000000"),
+        (["--head-dim", "100000000"], "dimension 100000000"),
+        (["--grid", "100000x100000", "--rho", "1"], "10000000008 entries"),
+    ],
+    ids=["vocab", "head-dim", "cache"],
+)
+def test_model_too_large_is_a_coded_error(tmp_path, flags, named):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(linear_kv.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_2_GIB, "generate", *flags, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: model-too-large")
+    assert named in proc.stderr
