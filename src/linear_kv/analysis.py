@@ -9,8 +9,8 @@ the visual entries of all its steps laid side by side in step order. Sums
 per raster position are ``np.bincount`` calls, which add their terms in
 the order a per-step loop would, and sums within one attention row stay
 contiguous ``.sum()`` calls, so the outputs match a per-step loop bit for
-bit. The public single-value functions read the same tables the file
-emitters write.
+bit. The public table functions build exactly what the file emitters
+write.
 """
 
 from __future__ import annotations
@@ -130,11 +130,18 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / denom) if denom else 0.0
 
 
-def _interline_table(trace: DecodeTrace) -> np.ndarray:
-    """Cosine of every (layer, head, line) with the next line,
-    ``(layers, heads, height - 1)``. Each line's mean attention mass per
-    raster position is one ``(heads, height, height * width)`` count over
-    the layer's entries."""
+def interline_table(trace: DecodeTrace) -> np.ndarray:
+    """Cosine overlap of adjacent lines' attention on their shared prefix,
+    ``(layers, heads, height - 1)``; ``[layer, head, l - 1]`` compares lines
+    ``l`` and ``l + 1``.
+
+    The shared support is every position below ``(l - 1) * width``: the
+    entries that already existed when ``l`` began. Each line's vector is its
+    mean attention mass per shared position across the line's steps, with
+    zero where an entry was evicted before the later line ran. Nonnegative
+    by construction; zero when the supports ended up disjoint. Each line's
+    means are one ``(heads, height, height * width)`` count over the layer.
+    """
     cfg = trace.config
     height, width, heads = cfg["height"], cfg["width"], cfg["heads"]
     cells = height * width
@@ -154,20 +161,6 @@ def _interline_table(trace: DecodeTrace) -> np.ndarray:
     return out
 
 
-def interline_similarity(trace: DecodeTrace, layer: int, head: int, line: int) -> float:
-    """Cosine overlap of two adjacent lines' mean attention on their prefix.
-
-    The shared support is every position below ``(line - 1) * width``: the
-    entries that already existed when ``line`` began. Each line's vector is
-    its mean attention mass per shared position across the line's steps,
-    with zero where an entry was evicted before the later line ran.
-    Nonnegative by construction; zero when the supports ended up disjoint.
-    """
-    if not 1 <= line < trace.config["height"]:
-        raise LinearKVError("line-out-of-range", f"need lines {line} and {line + 1} on the grid")
-    return float(_interline_table(trace)[layer, head, line - 1])
-
-
 @dataclass(frozen=True)
 class LocalityProfile:
     """Visual attention mass split into the anchor bucket and exact raster
@@ -178,8 +171,12 @@ class LocalityProfile:
     total_visual_mass: float
 
 
-def _locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfile]:
-    """The locality profile of every (layer, head), layer by layer."""
+def locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfile]:
+    """Every (layer, head)'s visual attention aggregated by raster distance.
+
+    Keys below ``n_init`` land in the anchor bucket, everything else in the
+    exact-distance histogram; the buckets partition the visual mass.
+    """
     cfg = trace.config
     heads, n_init, steps = cfg["heads"], cfg["n_init"], len(trace.steps)
     cells = cfg["height"] * cfg["width"]
@@ -217,15 +214,6 @@ def _locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProf
     return profiles
 
 
-def locality_profile(trace: DecodeTrace, layer: int, head: int) -> LocalityProfile:
-    """Aggregate one head's visual attention by raster distance.
-
-    Keys below ``n_init`` land in the anchor bucket, everything else in the
-    exact-distance histogram; the buckets partition the visual mass.
-    """
-    return _locality_profiles(trace)[layer, head]
-
-
 # -- file emitters -----------------------------------------------------------
 
 
@@ -245,7 +233,7 @@ def write_allocation_csv(trace: DecodeTrace, path: str) -> str:
 
 def write_interline_csv(trace: DecodeTrace, path: str) -> str:
     """One row per (layer, head, line) with the cosine to the next line."""
-    table = _interline_table(trace)
+    table = interline_table(trace)
     rows = [
         [layer, head, line + 1, table[layer, head, line].item()]
         for layer, head, line in np.ndindex(table.shape)
@@ -257,7 +245,7 @@ def write_interline_csv(trace: DecodeTrace, path: str) -> str:
 def write_locality_csv(trace: DecodeTrace, path: str) -> str:
     """One row per (layer, head, bucket); buckets are 'anchor' or a distance."""
     rows = []
-    for (layer, head), profile in _locality_profiles(trace).items():
+    for (layer, head), profile in locality_profiles(trace).items():
         rows.append([layer, head, "anchor", profile.anchor_mass])
         for dist in sorted(profile.distance_mass):
             rows.append([layer, head, str(dist), profile.distance_mass[dist]])
@@ -267,7 +255,7 @@ def write_locality_csv(trace: DecodeTrace, path: str) -> str:
 def write_summary_json(trace: DecodeTrace, path: str) -> str:
     """Aggregate allocation/similarity numbers plus the measure metadata."""
     cond_masses = _cond_masses(trace).ravel().tolist()
-    sims = _interline_table(trace).ravel().tolist()
+    sims = interline_table(trace).ravel().tolist()
     payload = {
         "similarity_measure": SIMILARITY_MEASURE,
         "config": trace.config,

@@ -184,7 +184,7 @@ class RasterDecoder:
         cache = VisualKVCache(mc.layers, mc.kv_heads, mc.head_dim, len(cond), capacity)
         for li in range(mc.layers):
             cache.set_conditional(li, cond_k[li], cond_v[li])
-        policy.bind(cache, mc.group_size, spec, cfg, mc.seed)
+        policy.bind(cache, spec, cfg, mc.seed)
         return DecodeState(
             spec=spec,
             cfg=cfg,
@@ -217,18 +217,16 @@ class RasterDecoder:
             k = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
             v = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
             keys, values = cache.span(li)
-            # every query head of a kv head's group in one batched product;
-            # the scale is folded into the queries, while q itself stays raw
-            # because the guide queue applies the scale at eviction time
-            probs = softmax_inplace((q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1))
+            # every query head of a kv head's group in one batched product
+            logits = (q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1)
+            policy.observe_logits(li, p, logits)
+            probs = softmax_inplace(logits)
             heads_out = probs @ values
             if policy.wants_attention:
                 policy.observe_attention(li, probs[:, :, cond_len:].sum(axis=1))
             if attn_trace is not None:
                 positions = cache.positions(li).copy()
                 attn_trace.append({"kv_positions": positions, "probs": probs.reshape(mc.heads, -1)})
-            if policy.wants_queries:
-                policy.observe_queries(li, p, q)
             cache.append(li, k, v, p)
             policy.notify_append(li)
             x = x + heads_out.reshape(-1) @ lw.wo

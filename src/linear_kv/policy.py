@@ -6,11 +6,11 @@ slices, score the mid slice of every kv head at once, evict exactly one
 line's worth of the lowest-scoring entries per head, and leave one line of
 headroom for the next line.
 
-The default scorer replays the queries collected while the current line was
-generated against the mid-region keys. Each key's saliency is its mean
-attention mass under a softmax restricted to the mid region, so the scores
-form a probability vector over eviction candidates. Keys the just-finished
-line did not look at are the ones dropped before the next line starts.
+The default scorer softmaxes the logits the decoder computed at each step of
+the current line over the mid-region keys only. Each key's saliency is its
+mean attention mass under that softmax, so the scores form a probability
+vector over eviction candidates. Keys the just-finished line did not look at
+are the ones dropped before the next line starts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import softmax_inplace
 from .cache import VisualKVCache, drop_entries
 from .errors import LinearKVError
 from .grid import BudgetConfig, GridSpec
@@ -34,46 +35,6 @@ class EvictionEvent:
     head: int
     evicted_positions: list[int]
     post_len: int
-
-
-class GuideQueue:
-    """Queries of the line currently being generated, one dense block per layer.
-
-    Each layer's block is ``(kv_heads, width * group, d)``: with grouped-query
-    attention each kv head receives the rows of all query heads in its
-    group, so one generated token fills ``group`` rows of every kv head. It
-    holds at most one line of tokens and is cleared at every line boundary.
-    """
-
-    def __init__(self, layers: int, kv_heads: int, group: int, width: int, head_dim: int):
-        self.group = group
-        self.width = width
-        self.rows = np.empty((layers, kv_heads, width * group, head_dim))
-        self.tokens = [0] * layers
-
-    def push(self, layer: int, queries) -> None:
-        """Add one token's ``(kv_heads * group, d)`` query rows to ``layer``."""
-        n = self.tokens[layer]
-        if n == self.width:
-            raise LinearKVError(
-                "guide-queue-overflow", f"layer {layer} already holds {n} tokens, one line"
-            )
-        block = self.rows[layer]
-        g = self.group
-        block[:, n * g : (n + 1) * g] = np.reshape(queries, (block.shape[0], g, -1))
-        self.tokens[layer] = n + 1
-
-    def count(self, layer: int) -> int:
-        return self.tokens[layer]
-
-    def matrix(self, layer: int) -> np.ndarray:
-        n = self.tokens[layer]
-        if n == 0:
-            raise LinearKVError("guide-queue-empty", f"layer {layer}")
-        return self.rows[layer, :, : n * self.group]
-
-    def clear(self) -> None:
-        self.tokens = [0] * len(self.tokens)
 
 
 def saliency(guide_rows, mid_keys, scale: float | None = None) -> np.ndarray:
@@ -98,13 +59,8 @@ def saliency(guide_rows, mid_keys, scale: float | None = None) -> np.ndarray:
         scale = 1.0 / math.sqrt(guide.shape[-1])
     if not (np.isfinite(guide).all() and np.isfinite(keys).all()):
         raise LinearKVError("non-finite-input", "guide rows or mid keys contain NaN or Inf")
-    # one logits allocation for the whole scoring pass; the softmax runs
-    # in place with the same operation order as softmax_rows
     logits = (guide * scale) @ np.swapaxes(keys, -1, -2)
-    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits.mean(axis=-2)
+    return softmax_inplace(logits).mean(axis=-2)
 
 
 def bottom_k(scores, k: int) -> np.ndarray:
@@ -173,28 +129,25 @@ class AttentionMassTracker:
 class EvictionPolicy:
     """Owns per-stream scoring state and the end-of-line decision.
 
-    The decoder feeds observations each step, one call per layer (queries
-    and/or attention rows, depending on the ``wants_*`` flags), and calls
+    The decoder feeds observations each step, one call per layer (the scaled
+    logits, and attention rows when ``wants_attention`` is set), and calls
     :meth:`end_of_line` after each line's last append.
     """
 
     name = "?"
-    wants_queries = False
     wants_attention = False
 
-    def bind(
-        self,
-        cache: VisualKVCache,
-        group_size: int,
-        spec: GridSpec,
-        cfg: BudgetConfig,
-        seed: int,
-    ) -> None:
+    def bind(self, cache: VisualKVCache, spec: GridSpec, cfg: BudgetConfig, seed: int) -> None:
         self.cache = cache
         self.spec = spec
         self.cfg = cfg
         self.seed = seed
 
+    def observe_logits(self, layer: int, position: int, logits: np.ndarray) -> None:
+        """The ``(kv_heads, group, span)`` scaled logits of the step at
+        ``position``, cond block first; the decoder softmaxes them in place."""
+
+    # never called; perfbench/probes.py patches it by name
     def observe_queries(self, layer: int, position: int, queries) -> None:
         pass
 
@@ -220,13 +173,7 @@ class EvictionPolicy:
             want = (cache.kv_heads, width)
             events = []
             for layer in range(cache.layers):
-                mid = cache.partition(layer, self.spec, self.cfg, line)
-                if mid.stop - mid.start < width:
-                    raise LinearKVError(
-                        "insufficient-mid-tokens",
-                        f"mid region holds {mid.stop - mid.start} entries, need {width} "
-                        f"(layer {layer}, line {line})",
-                    )
+                mid = self.evictable_mid(cache, layer, line)
                 evict = np.asarray(self.select(cache, line, layer, mid), dtype=np.int64)
                 if evict.shape != want:
                     raise LinearKVError(
@@ -243,6 +190,18 @@ class EvictionPolicy:
                 )
         self.line_boundary()
         return events
+
+    def evictable_mid(self, cache: VisualKVCache, layer: int, line: int) -> slice:
+        """The mid slice of ``layer`` at the end of ``line``, which must hold
+        at least one line's worth of eviction candidates."""
+        mid = cache.partition(layer, self.spec, self.cfg, line)
+        if mid.stop - mid.start < self.spec.width:
+            raise LinearKVError(
+                "insufficient-mid-tokens",
+                f"mid region holds {mid.stop - mid.start} entries, need {self.spec.width} "
+                f"(layer {layer}, line {line})",
+            )
+        return mid
 
     def select(self, cache: VisualKVCache, line: int, layer: int, mid: slice) -> np.ndarray:
         """``(kv_heads, width)`` ascending store indices to evict from ``mid``."""
@@ -268,33 +227,47 @@ class LineGuidedPolicy(EvictionPolicy):
     """Evict the mid-region keys least attended by the current line's queries."""
 
     name = "lineattn"
-    wants_queries = True
 
-    def bind(self, cache, group_size, spec, cfg, seed):
-        super().bind(cache, group_size, spec, cfg, seed)
-        self.guide = GuideQueue(
-            cache.layers, cache.kv_heads, group_size, spec.width, cache.head_dim
-        )
-        self.filling = [False] * cache.layers
+    def bind(self, cache, spec, cfg, seed):
+        super().bind(cache, spec, cfg, seed)
+        self.line_boundary()
 
-    def observe_queries(self, layer, position, queries):
-        # whether this line ends in a compression is known at its first
-        # token: the store will hold one more line by then
+    def observe_logits(self, layer, position, logits):
         width = self.spec.width
         if position % width == 0:
-            self.filling[layer] = should_compress(
-                self.cfg, self.spec, position // width + 1,
-                self.cache.visual_len(layer, 0) + width,
-            )
-        if self.filling[layer]:
-            self.guide.push(layer, queries)
+            # whether this line ends in a compression is known at its first
+            # token: the store will hold one more line by then. The mid slice
+            # is final too, since the line's appends land after its end
+            line = position // width + 1
+            if should_compress(self.cfg, self.spec, line, self.cache.visual_len(layer, 0) + width):
+                mid = self.evictable_mid(self.cache, layer, line)
+                self.mid[layer] = mid
+                self.mass[layer] = np.zeros((self.cache.kv_heads, mid.stop - mid.start))
+        mid = self.mid[layer]
+        if mid is None:
+            return
+        cond = self.cache.cond_len
+        probs = softmax_inplace(logits[:, :, cond + mid.start : cond + mid.stop].copy())
+        # row by row in query order, the order saliency's mean adds them
+        mass = self.mass[layer]
+        for row in range(probs.shape[1]):
+            mass += probs[:, row]
+        self.rows[layer] += probs.shape[1]
 
     def select(self, cache, line, layer, mid):
-        scores = saliency(self.guide.matrix(layer), cache.keys(layer)[:, mid])
-        return mid.start + bottom_k(scores, self.spec.width)
+        if mid != self.mid[layer]:
+            raise LinearKVError(
+                "line-not-scored",
+                f"layer {layer} has no scores for line {line} over the mid slice {mid} "
+                f"(scored: {self.mid[layer]})",
+            )
+        return mid.start + bottom_k(self.mass[layer] / self.rows[layer], self.spec.width)
 
     def line_boundary(self):
-        self.guide.clear()
+        layers = self.cache.layers
+        self.mid = [None] * layers
+        self.mass = [None] * layers
+        self.rows = [0] * layers
 
 
 class AccumulatedAttentionPolicy(EvictionPolicy):
@@ -307,8 +280,8 @@ class AccumulatedAttentionPolicy(EvictionPolicy):
     name = "h2o"
     wants_attention = True
 
-    def bind(self, cache, group_size, spec, cfg, seed):
-        super().bind(cache, group_size, spec, cfg, seed)
+    def bind(self, cache, spec, cfg, seed):
+        super().bind(cache, spec, cfg, seed)
         self.tracker = AttentionMassTracker(cache.layers, cache.kv_heads, cache.capacity)
 
     def observe_attention(self, layer, visual_mass):

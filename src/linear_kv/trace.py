@@ -2,7 +2,7 @@
 
 File layout, one JSON object per line, in chronological order::
 
-    {"record": "header", "schema": 2, "config": {...}, "rng": "numpy-pcg64"}
+    {"record": "header", "schema": 3, "config": {...}, "rng": "numpy-pcg64"}
     {"record": "step", "i": 0, "line": 1, "token": 17, "span": 8,
      "visual_len": 1, "step_ns": 52100, "attn": [...]?}
     {"record": "eviction", "line": 3, "layer": 0, "head": 0,

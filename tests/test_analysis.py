@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from linear_kv.analysis import (
     Allocation,
     attention_allocation,
-    interline_similarity,
-    locality_profile,
+    interline_table,
+    locality_profiles,
     write_allocation_csv,
     write_interline_csv,
     write_locality_csv,
@@ -133,18 +133,12 @@ class TestInterline:
         # line 2 mean masses on {0, 1}: (0.4, 0.4)
         # line 3 mean masses, position 0 evicted: (0.0, 0.3)
         # cosine = 0.12 / (sqrt(0.32) * 0.3) = 1/sqrt(2)
-        trace = synthetic_trace()
-        sim = interline_similarity(trace, layer=0, head=0, line=2)
-        assert math.isclose(sim, 1 / math.sqrt(2), abs_tol=1e-12)
+        table = interline_table(synthetic_trace())
+        assert table.shape == (1, 1, 2)
+        assert math.isclose(table[0, 0, 1], 1 / math.sqrt(2), abs_tol=1e-12)
 
     def test_first_line_has_empty_support(self):
-        assert interline_similarity(synthetic_trace(), 0, 0, line=1) == 0.0
-
-    def test_line_bounds(self):
-        trace = synthetic_trace()
-        for bad in (0, 3, 7):
-            with pytest.raises(LinearKVError, match="line-out-of-range"):
-                interline_similarity(trace, 0, 0, line=bad)
+        assert interline_table(synthetic_trace())[0, 0, 0] == 0.0
 
     def test_requires_attention(self):
         trace = real_trace()
@@ -158,34 +152,30 @@ class TestInterline:
             final_hidden=trace.final_hidden,
             cache_snapshot=trace.cache_snapshot,
         )
-        with pytest.raises(LinearKVError, match="trace-missing-attention"):
-            interline_similarity(stripped, 0, 0, 1)
+        for table in (interline_table, locality_profiles):
+            with pytest.raises(LinearKVError, match="trace-missing-attention"):
+                table(stripped)
 
     def test_real_trace_values_in_unit_interval(self):
         trace = real_trace()
         cfg = trace.config
-        for layer in range(cfg["layers"]):
-            for head in range(cfg["heads"]):
-                for line in range(1, cfg["height"]):
-                    sim = interline_similarity(trace, layer, head, line)
-                    assert 0.0 <= sim <= 1.0 + 1e-12
+        table = interline_table(trace)
+        assert table.shape == (cfg["layers"], cfg["heads"], cfg["height"] - 1)
+        assert ((table >= 0.0) & (table <= 1.0 + 1e-12)).all()
 
     def test_survives_round_trip(self, tmp_path):
         trace = real_trace()
         path = tmp_path / "run.jsonl"
         trace.write(str(path))
         loaded = DecodeTrace.read(str(path))
-        for line in range(1, trace.config["height"]):
-            assert math.isclose(
-                interline_similarity(trace, 1, 1, line),
-                interline_similarity(loaded, 1, 1, line),
-                abs_tol=1e-12,
-            )
+        np.testing.assert_allclose(
+            interline_table(loaded), interline_table(trace), rtol=0, atol=1e-12
+        )
 
 
 class TestLocality:
     def test_hand_computed_buckets(self):
-        profile = locality_profile(synthetic_trace(), layer=0, head=0)
+        profile = locality_profiles(synthetic_trace())[0, 0]
         assert math.isclose(profile.anchor_mass, 1.3, abs_tol=1e-12)
         expected = {1: 0.8, 2: 0.9, 3: 0.4, 4: 0.35}
         assert set(profile.distance_mass) == set(expected)
@@ -195,20 +185,20 @@ class TestLocality:
 
     def test_buckets_partition_visual_mass(self):
         trace = real_trace(policy="streaming")
-        for layer in range(trace.config["layers"]):
-            for head in range(trace.config["heads"]):
-                p = locality_profile(trace, layer, head)
-                assert math.isclose(
-                    p.anchor_mass + sum(p.distance_mass.values()),
-                    p.total_visual_mass,
-                    abs_tol=1e-9,
-                )
+        profiles = locality_profiles(trace)
+        assert len(profiles) == trace.config["layers"] * trace.config["heads"]
+        for p in profiles.values():
+            assert math.isclose(
+                p.anchor_mass + sum(p.distance_mass.values()),
+                p.total_visual_mass,
+                abs_tol=1e-9,
+            )
 
     def test_distances_are_positive_raster_offsets(self):
         trace = real_trace()
         total = trace.config["height"] * trace.config["width"]
-        p = locality_profile(trace, 0, 0)
-        assert all(1 <= d < total for d in p.distance_mass)
+        for p in locality_profiles(trace).values():
+            assert all(1 <= d < total for d in p.distance_mass)
 
 
 class TestEmitters:
@@ -235,11 +225,9 @@ class TestEmitters:
         cfg = trace.config
         assert rows[0] == ["layer", "head", "line", "cosine"]
         assert len(rows) - 1 == cfg["layers"] * cfg["heads"] * (cfg["height"] - 1)
-        # spot-check one row against the function itself
+        # spot-check one row against the table itself
         layer, head, line, value = rows[1]
-        assert math.isclose(
-            float(value), interline_similarity(trace, int(layer), int(head), int(line))
-        )
+        assert float(value) == interline_table(trace)[int(layer), int(head), int(line) - 1]
 
     def test_locality_csv(self, tmp_path):
         trace = real_trace()

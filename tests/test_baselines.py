@@ -86,7 +86,7 @@ def bound_h2o(mass, width):
     """An ``h2o`` policy bound to a one-head store whose tracker holds ``mass``."""
     cache = VisualKVCache(1, 1, 2, 1, len(mass))
     policy = make_policy("h2o")
-    policy.bind(cache, 1, GridSpec(8, width), FIG_CFG, seed=0)
+    policy.bind(cache, GridSpec(8, width), FIG_CFG, seed=0)
     for _ in mass:
         policy.notify_append(0)
     policy.observe_attention(0, np.asarray(mass, dtype=float)[None, :])

@@ -279,6 +279,16 @@ def test_readme_names_exactly_the_subcommands():
     assert named == set(sub.choices)
 
 
+def test_readme_layout_names_exactly_the_modules():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as fh:
+        layout = fh.read().split("## Layout", 1)[1].split("```")[1]
+    named = re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE)
+    package = os.listdir(os.path.join(root, "src", "linear_kv"))
+    modules = {f for f in package if f.endswith(".py")} - {"__init__.py", "__main__.py"}
+    assert sorted(named) == sorted(modules)
+
+
 # the address-space limit makes an oversized allocation fail at once; without
 # it the allocation may succeed lazily and then exhaust the machine
 _UNDER_2_GIB = """

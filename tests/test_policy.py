@@ -1,5 +1,6 @@
 """Selection rules and the end-of-line compression pipeline."""
 
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ from linear_kv.grid import BudgetConfig, GridSpec
 from linear_kv.oracles import bottom_k_reference, saliency_reference
 from linear_kv.policy import (
     AttentionMassTracker,
-    GuideQueue,
     LineGuidedPolicy,
     bottom_k,
     saliency,
@@ -134,24 +134,37 @@ class TestShouldCompress:
 
 
 def build_polarized_cache(spec, cfg, line, low_positions, kv_heads=1, head_dim=4):
-    """Store filled through ``line`` where keys at ``low_positions`` point away
-    from the probe direction and everything else points along it."""
+    """Store filled through ``line - 1`` where keys at ``low_positions`` point
+    away from the probe direction and everything else points along it.
+
+    Returns the store, the probe and the key of every position, so that
+    :func:`decode_line` can append ``line`` itself."""
     cache = VisualKVCache(1, kv_heads, head_dim, 0, cfg.budget)
     probe = np.zeros(head_dim)
     probe[0] = 1.0
-    for p in range(line * spec.width):
-        keys = np.empty((kv_heads, head_dim))
+    keys = np.empty((spec.total, kv_heads, head_dim))
+    for p in range(spec.total):
         for head in range(kv_heads):
             lows = low_positions[head] if isinstance(low_positions, dict) else low_positions
-            keys[head] = probe * (-10.0 if p in lows else 10.0)
-        cache.append(0, keys, np.full((kv_heads, head_dim), float(p)), p)
-    return cache, probe
+            keys[p, head] = probe * (-10.0 if p in lows else 10.0)
+    for p in range((line - 1) * spec.width):
+        cache.append(0, keys[p], np.full((kv_heads, head_dim), float(p)), p)
+    return cache, probe, keys
 
 
-def observe_line(policy, line, width, queries):
-    """Feed one line's worth of query rows to layer 0, as the decoder would."""
-    for p in range((line - 1) * width, line * width):
-        policy.observe_queries(0, p, queries)
+def decode_line(policy, cache, line, queries, keys):
+    """Step layer 0 through ``line`` as the decoder does: each position's
+    scaled logits over the store's span are observed before the position's
+    own entry is appended. ``queries`` holds one step's ``(heads, d)`` rows,
+    or one per position of the line."""
+    width, d = policy.spec.width, cache.head_dim
+    q = np.asarray(queries, dtype=float)
+    steps = q if q.ndim == 3 else [q] * width
+    for k, p in enumerate(range((line - 1) * width, line * width)):
+        span_keys, _ = cache.span(0)
+        grouped = (steps[k] * (1.0 / math.sqrt(d))).reshape(cache.kv_heads, -1, d)
+        policy.observe_logits(0, p, grouped @ span_keys.transpose(0, 2, 1))
+        cache.append(0, keys[p], np.zeros((cache.kv_heads, d)), p)
 
 
 class TestLineGuidedPipeline:
@@ -160,10 +173,10 @@ class TestLineGuidedPipeline:
 
     def test_constructed_scores_pick_the_planned_set(self):
         target = {8, 10, 11, 13, 14, 15, 17, 19}
-        cache, probe = build_polarized_cache(self.SPEC, self.CFG, 4, target)
+        cache, probe, keys = build_polarized_cache(self.SPEC, self.CFG, 4, target)
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, self.SPEC, self.CFG, seed=0)
-        observe_line(policy, 4, 8, probe)
+        policy.bind(cache, self.SPEC, self.CFG, seed=0)
+        decode_line(policy, cache, 4, probe, keys)
         events = policy.end_of_line(cache, line=4)
         assert len(events) == 1
         assert events[0].evicted_positions == sorted(target)
@@ -173,10 +186,10 @@ class TestLineGuidedPipeline:
 
     def test_heads_evict_independently(self):
         lows = {0: {8, 9, 10, 11, 12, 13, 14, 15}, 1: {16, 17, 18, 19, 20, 21, 22, 23}}
-        cache, probe = build_polarized_cache(self.SPEC, self.CFG, 4, lows, kv_heads=2)
+        cache, probe, keys = build_polarized_cache(self.SPEC, self.CFG, 4, lows, kv_heads=2)
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, self.SPEC, self.CFG, seed=0)
-        observe_line(policy, 4, 8, np.stack([probe, probe]))
+        policy.bind(cache, self.SPEC, self.CFG, seed=0)
+        decode_line(policy, cache, 4, np.stack([probe, probe]), keys)
         events = policy.end_of_line(cache, line=4)
         by_head = {e.head: e for e in events}
         assert by_head[0].evicted_positions == sorted(lows[0])
@@ -184,86 +197,79 @@ class TestLineGuidedPipeline:
         assert cache.visual_len(0, 0) == cache.visual_len(0, 1) == 24
 
     def test_empty_mid_region_errors(self):
-        cache, probe = build_polarized_cache(SPEC_8, FIG_CFG, 3, set())
+        cache, probe, keys = build_polarized_cache(SPEC_8, FIG_CFG, 3, set())
         degenerate = BudgetConfig(Fraction(3, 8), 24, 8, 2)
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, SPEC_8, degenerate, seed=0)
-        observe_line(policy, 3, 8, probe)
+        policy.bind(cache, SPEC_8, degenerate, seed=0)
         with pytest.raises(LinearKVError) as err:
-            policy.end_of_line(cache, line=3)
+            # the mid slice is taken, and found empty, at the line's first token
+            decode_line(policy, cache, 3, probe, keys)
         assert err.value.code == "insufficient-mid-tokens"
 
-    def test_unfilled_guide_queue_errors(self):
-        cache, _ = build_polarized_cache(SPEC_8, FIG_CFG, 3, set())
+    def test_unobserved_line_errors(self):
+        cache, _, _ = build_polarized_cache(SPEC_8, FIG_CFG, 4, set())
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, SPEC_8, FIG_CFG, seed=0)
+        policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
         with pytest.raises(LinearKVError) as err:
             policy.end_of_line(cache, line=3)
-        assert err.value.code == "guide-queue-empty"
+        assert err.value.code == "line-not-scored"
+
+    def test_moved_mid_slice_errors(self):
+        cache, probe, keys = build_polarized_cache(SPEC_8, FIG_CFG, 3, set())
+        policy = LineGuidedPolicy()
+        policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
+        decode_line(policy, cache, 3, probe, keys)
+        mid = cache.partition(0, SPEC_8, FIG_CFG, 3)
+        assert policy.select(cache, 3, 0, mid).shape == (1, 8)
+        with pytest.raises(LinearKVError) as err:
+            policy.select(cache, 3, 0, slice(mid.start + 1, mid.stop))
+        assert err.value.code == "line-not-scored"
 
     def test_below_budget_line_is_a_no_op(self):
-        cache, probe = build_polarized_cache(SPEC_8, FIG_CFG, 2, set())
+        cache, probe, keys = build_polarized_cache(SPEC_8, FIG_CFG, 2, set())
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, SPEC_8, FIG_CFG, seed=0)
-        policy.observe_queries(0, 8, probe)
-        assert policy.guide.count(0) == 1
+        policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
+        decode_line(policy, cache, 2, probe, keys)
+        assert policy.rows[0] == 0
         assert policy.end_of_line(cache, line=2) is None
-        # the boundary still clears the guide queue
-        assert policy.guide.count(0) == 0
 
 
-class TestGuideQueue:
-    def test_concatenates_group_rows(self):
-        queue = GuideQueue(1, 1, group=2, width=4, head_dim=3)
-        queue.push(0, np.ones((2, 3)))
-        queue.push(0, np.zeros((2, 3)))
-        assert queue.matrix(0).shape == (1, 4, 3)
-        assert queue.matrix(0)[0, :, 0].tolist() == [1.0, 1.0, 0.0, 0.0]
-        assert queue.count(0) == 2
-
-    def test_empty_matrix_errors(self):
-        queue = GuideQueue(1, 1, group=1, width=4, head_dim=3)
-        with pytest.raises(LinearKVError) as err:
-            queue.matrix(0)
-        assert err.value.code == "guide-queue-empty"
-
-    def test_clear_resets_every_head(self):
-        queue = GuideQueue(2, 2, group=1, width=2, head_dim=3)
-        for l in range(2):
-            queue.push(l, np.ones((2, 3)))
-        queue.clear()
-        assert all(queue.count(l) == 0 for l in range(2))
-
-    def test_overflow_raises_a_coded_error(self):
-        queue = GuideQueue(1, 1, group=1, width=2, head_dim=3)
-        queue.push(0, np.ones(3))
-        queue.push(0, np.ones(3))
-        with pytest.raises(LinearKVError) as err:
-            queue.push(0, np.ones(3))
-        assert err.value.code == "guide-queue-overflow"
-
-    def test_groups_land_on_their_kv_head(self):
-        # query heads 0,1 belong to kv head 0 and heads 2,3 to kv head 1
-        queue = GuideQueue(1, 2, group=2, width=1, head_dim=1)
-        queue.push(0, np.arange(4.0).reshape(4, 1))
-        assert queue.matrix(0)[:, :, 0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
-
-
-class TestLineStartFilling:
-    def test_only_compressing_lines_fill_the_queue(self):
+class TestLineScoring:
+    def test_only_compressing_lines_accumulate_rows(self):
         # 8x8 at 3/8 compresses at the ends of lines 3..7 only
         cache = VisualKVCache(1, 1, 4, 0, FIG_CFG.budget)
         policy = LineGuidedPolicy()
-        policy.bind(cache, 1, SPEC_8, FIG_CFG, seed=0)
-        filled = []
-        for p in range(SPEC_8.total):
-            policy.observe_queries(0, p, np.ones(4))
-            cache.append(0, np.full((1, 4), float(p)), np.zeros((1, 4)), p)
-            if (p + 1) % 8 == 0:
-                line = (p + 1) // 8
-                filled.append(policy.guide.count(0))
-                policy.end_of_line(cache, line)
-        assert filled == [0, 0, 8, 8, 8, 8, 8, 0]
+        policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
+        keys = np.arange(SPEC_8.total * 4.0).reshape(-1, 1, 4) / 64
+        rows = []
+        for line in range(1, 9):
+            decode_line(policy, cache, line, np.ones(4), keys)
+            rows.append(policy.rows[0])
+            policy.end_of_line(cache, line)
+        assert rows == [0, 0, 8, 8, 8, 8, 8, 0]
+
+    @pytest.mark.parametrize("heads, kv_heads", [(2, 2), (8, 2)], ids=["mha", "gqa"])
+    def test_matches_saliency_over_the_same_rows(self, heads, kv_heads):
+        # lines 3 and 4 both compress; line 4 is scored after line 3's compaction
+        rng = np.random.default_rng(29)
+        d = 8
+        cache = VisualKVCache(1, kv_heads, d, 5, FIG_CFG.budget)
+        cond = rng.normal(size=(2, kv_heads, 5, d))
+        cache.set_conditional(0, cond[0], cond[1])
+        policy = LineGuidedPolicy()
+        policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
+        keys = rng.normal(size=(SPEC_8.total, kv_heads, d)) * 3
+        decode_line(policy, cache, 1, np.zeros((heads, d)), keys)
+        decode_line(policy, cache, 2, np.zeros((heads, d)), keys)
+        for line in (3, 4):
+            queries = rng.normal(size=(8, heads, d)) * 2
+            decode_line(policy, cache, line, queries, keys)
+            mid = cache.partition(0, SPEC_8, FIG_CFG, line)
+            # token-major, then the query heads of each kv head's group
+            guide = queries.reshape(8, kv_heads, -1, d).swapaxes(0, 1).reshape(kv_heads, -1, d)
+            want = saliency(guide, cache.keys(0)[:, mid])
+            np.testing.assert_allclose(policy.mass[0] / policy.rows[0], want, rtol=0, atol=1e-12)
+            assert policy.end_of_line(cache, line)
 
 
 class TestAttentionMassTracker:
@@ -323,3 +329,40 @@ def test_short_selection_raises_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "eviction-size-mismatch"]
+
+
+# the same under python -O: a line scored over another slice than the one
+# it evicts from, or not scored at all, is a coded error
+_UNSCORED_SELECTION = """
+from fractions import Fraction
+from linear_kv import GridSpec, ModelConfig, RasterDecoder, budget_from_ratio, synth_condition
+from linear_kv.errors import LinearKVError
+from linear_kv.policy import LineGuidedPolicy
+
+class MovedMid(LineGuidedPolicy):
+    def select(self, cache, line, layer, mid):
+        return super().select(cache, line, layer, slice(mid.start + 1, mid.stop))
+
+class Unobserved(LineGuidedPolicy):
+    def observe_logits(self, layer, position, logits):
+        pass
+
+spec = GridSpec(8, 8)
+mc = ModelConfig(layers=1, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4)
+cfg = budget_from_ratio(spec, Fraction(3, 8))
+for policy in (MovedMid(), Unobserved()):
+    try:
+        RasterDecoder(mc).generate(synth_condition(mc), spec, cfg, policy)
+        print(__debug__, "no error")
+    except LinearKVError as exc:
+        print(__debug__, exc.code)
+"""
+
+
+def test_unscored_selection_raises_under_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNSCORED_SELECTION],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "line-not-scored"] * 2

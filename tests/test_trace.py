@@ -15,6 +15,7 @@ from linear_kv.baselines import make_policy
 from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
+import linear_kv.trace as trace_module
 from linear_kv.trace import TRACE_SCHEMA, DecodeTrace
 
 MODEL = ModelConfig(layers=1, heads=2, kv_heads=1, head_dim=4, vocab=32, cond_len=3, seed=2)
@@ -326,3 +327,5 @@ def test_readme_trace_format_names_the_schema():
     with open(readme) as fh:
         section = fh.read().split("## Trace format", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"JSON lines, schema (\d+)", section) == [str(TRACE_SCHEMA)]
+    # and so does the example header of the module docstring
+    assert re.findall(r'"schema": (\d+)', trace_module.__doc__) == [str(TRACE_SCHEMA)]
