@@ -7,8 +7,9 @@ Heads may evict different entries, but every head evicts the same number,
 so their lengths never diverge. The conditional block is a read-only prefix
 of the key and value arrays; eviction indices count from the end of it, so
 no index can reach it. Positions are original raster indices and stay
-strictly increasing through any append/compact sequence, which makes the
-anchor / mid / recent split a pair of slice bounds.
+strictly increasing through any append/compact sequence. Every compression
+finds the store exactly full, so the anchor / mid / recent split is one
+fixed pair of slice bounds, the same for every layer, head and line.
 """
 
 from __future__ import annotations
@@ -145,27 +146,27 @@ class VisualKVCache:
     def partition(self, layer: int, spec: GridSpec, cfg: BudgetConfig, line: int) -> slice:
         """The evictable mid region of one layer at the end of ``line`` (1-based).
 
-        Anchors are positions below ``n_init``; the recent window is every
-        non-anchor position in the last ``recent_lines`` lines counting
-        ``line`` itself, never fewer than ``line`` alone; the mid region is
-        the remainder and is the only evictable part. Positions are sorted,
-        so the three regions are consecutive store slices: ``[:mid.start]``,
-        ``mid`` and ``[mid.stop:]``. Only meaningful once the cache can have
-        filled its budget, hence the activation guard.
+        A compression line finds the store exactly full, so this is always
+        :meth:`BudgetConfig.evictable`. Positions increase along each row, so
+        the entries either side of each bound prove the anchor / mid / recent
+        split for every head.
         """
-        if line < cfg.budget // spec.width:
+        n = self._len[layer]
+        if line not in cfg.compression_lines(spec) or n != cfg.budget:
             raise LinearKVError(
                 "compression-not-active",
-                f"line {line} ends before the store can reach budget {cfg.budget}",
+                f"line {line} with {n} of {cfg.budget} entries is not a compression point",
             )
-        pos = self.positions(layer)
-        lo = np.count_nonzero(pos < cfg.n_init, axis=1)
-        hi = np.count_nonzero(pos < (line - cfg.protected_lines) * spec.width, axis=1)
-        if (lo != lo[0]).any() or (hi != hi[0]).any():
+        mid = cfg.evictable(spec)
+        lo, hi = mid.start, mid.stop
+        cut = (line - cfg.protected_lines) * spec.width
+        # the last anchor (if any), the first and last mid entries, the first recent one
+        edges = self._positions[layer][:, [max(lo - 1, 0), lo, hi - 1, hi]]
+        if ((edges < [cfg.n_init, cfg.n_init, cut, cut]) != [lo > 0, False, True, False]).any():
             raise LinearKVError(
-                "region-mismatch", f"kv heads of layer {layer} disagree on region bounds"
+                "region-mismatch", f"a kv head of layer {layer} straddles [{lo}:{hi}]"
             )
-        return slice(int(lo[0]), max(int(lo[0]), int(hi[0])))
+        return mid
 
     def compact(self, layer: int, mid: slice, evict) -> np.ndarray:
         """Physically remove store indices from one layer; returns their positions.

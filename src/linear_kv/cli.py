@@ -148,21 +148,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-ABLATION_ARMS = ("base", "disable-init", "disable-rec", "disable-mid", "attacc")
+_ABLATIONS = {
+    "base": {"policy": "lineattn"},
+    "disable-init": {"policy": "lineattn", "n_init": 0},
+    "disable-rec": {"policy": "lineattn", "recent_lines": 0},
+    "disable-mid": {"policy": "streaming"},
+    "attacc": {"policy": "h2o"},
+}
+
+ABLATION_ARMS = tuple(_ABLATIONS)
 
 
 def _ablation_config(cfg: RunConfig, arm: str) -> RunConfig:
-    if arm == "base":
-        return replace(cfg, policy="lineattn")
-    if arm == "disable-init":
-        return replace(cfg, policy="lineattn", n_init=0)
-    if arm == "disable-rec":
-        return replace(cfg, policy="lineattn", recent_lines=0)
-    if arm == "disable-mid":
-        return replace(cfg, policy="streaming")
-    if arm == "attacc":
-        return replace(cfg, policy="h2o")
-    raise ConfigError("unknown-ablation-arm", arm)
+    return replace(cfg, **_ABLATIONS[arm])
 
 
 def cmd_ablate(args) -> int:

@@ -228,7 +228,6 @@ class RasterDecoder:
                 positions = cache.positions(li).copy()
                 attn_trace.append({"kv_positions": positions, "probs": probs.reshape(mc.heads, -1)})
             cache.append(li, k, v, p)
-            policy.notify_append(li)
             x = x + heads_out.reshape(-1) @ lw.wo
             x = x + np.tanh(x @ lw.w1) @ lw.w2
         token = int(np.argmax(x @ self.unembed))

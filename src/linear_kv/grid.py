@@ -68,6 +68,24 @@ class BudgetConfig:
         # recent_lines=0 still leaves a one-line buffer
         return max(self.recent_lines, 1)
 
+    def compression_lines(self, spec: GridSpec) -> range:
+        """Lines (1-based) whose end compresses: from the first line that fills
+        the budget up to the last but one. None under a full budget."""
+        return range(self.budget // spec.width, spec.height) if self.rho < 1 else range(0)
+
+    def evictable(self, spec: GridSpec) -> slice:
+        """Store indices every compression evicts from. The store gains one
+        line per line and sheds one per compression, so each compression finds
+        it exactly full: the ``n_init`` anchors, this mid region, then the
+        last ``protected_lines`` lines."""
+        mid = slice(self.n_init, self.budget - self.protected_lines * spec.width)
+        if mid.stop - mid.start < spec.width:
+            raise ConfigError(
+                "insufficient-mid-tokens",
+                f"mid region holds {max(mid.stop - mid.start, 0)} entries, need {spec.width}",
+            )
+        return mid
+
     def validate(self, spec: GridSpec) -> "BudgetConfig":
         if not 0 < self.rho <= 1:
             raise ConfigError("rho-out-of-range", f"rho must be in (0, 1], got {self.rho}")

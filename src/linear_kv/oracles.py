@@ -94,6 +94,19 @@ def compression_lines_reference(height, width, budget, compressing=True):
     return lines
 
 
+def mid_region_reference(positions, n_init, cut):
+    """Per head row of raster ``positions``, the slice between the anchors
+    (below ``n_init``) and the recent lines (from ``cut`` on), by counting."""
+    regions = []
+    for row in positions:
+        anchors = below_cut = 0
+        for p in row:
+            anchors += p < n_init
+            below_cut += p < cut
+        regions.append(slice(anchors, below_cut))
+    return regions
+
+
 def full_cache_flops_reference(n_steps, cond_len, layers, heads, head_dim):
     """Total attention flops proxy for an uncompressed run.
 

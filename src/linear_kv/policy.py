@@ -1,10 +1,10 @@
 """Line-guided progressive cache compression.
 
 Compression runs at end-of-line synchronization points once the store has
-filled its budget: split each layer's store into anchor / mid / recent
-slices, score the mid slice of every kv head at once, evict exactly one
-line's worth of the lowest-scoring entries per head, and leave one line of
-headroom for the next line.
+filled its budget: score the mid slice of every kv head at once, evict
+exactly one line's worth of the lowest-scoring entries per head, and leave
+one line of headroom for the next line. The budget alone fixes which lines
+compress and the one store slice they evict from (:class:`BudgetConfig`).
 
 The default scorer softmaxes the logits the decoder computed at each step of
 the current line over the mid-region keys only. Each key's saliency is its
@@ -80,52 +80,6 @@ def bottom_k(scores, k: int) -> np.ndarray:
     return np.sort(order[..., :k], axis=-1)
 
 
-def should_compress(cfg: BudgetConfig, spec: GridSpec, line: int, head_len: int) -> bool:
-    """True when the end of ``line`` (1-based) is a compression point.
-
-    Never under a full budget, never before the store has filled, and never
-    after the final line since nothing is generated next.
-    """
-    return cfg.rho < 1 and head_len >= cfg.budget and line < spec.height
-
-
-class AttentionMassTracker:
-    """Running attention mass received by each cached visual entry.
-
-    Masses are raw sums from each entry's creation onward, with no age
-    normalization, held per layer as ``(kv_heads, capacity)`` and shrunk in
-    lockstep with the store on compaction.
-    """
-
-    def __init__(self, layers: int, kv_heads: int, capacity: int):
-        # each slot is zeroed when its entry is appended
-        self._mass = np.empty((layers, kv_heads, capacity))
-        self._len = [0] * layers
-
-    def add(self, layer: int, visual_mass: np.ndarray) -> None:
-        n = self._len[layer]
-        if visual_mass.shape != (self._mass.shape[1], n):
-            raise LinearKVError(
-                "mass-misaligned",
-                f"mass row {visual_mass.shape} does not match the store "
-                f"({self._mass.shape[1]}, {n}) of layer {layer}",
-            )
-        self._mass[layer, :, :n] += visual_mass
-
-    def on_append(self, layer: int) -> None:
-        n = self._len[layer]
-        self._mass[layer, :, n] = 0.0
-        self._len[layer] = n + 1
-
-    def on_compact(self, layer: int, evict_idx) -> None:
-        evict = np.asarray(evict_idx, dtype=np.int64)
-        drop_entries((self._mass[layer],), self._len[layer], evict)
-        self._len[layer] -= evict.shape[1]
-
-    def mass(self, layer: int) -> np.ndarray:
-        return self._mass[layer, :, : self._len[layer]]
-
-
 class EvictionPolicy:
     """Owns per-stream scoring state and the end-of-line decision.
 
@@ -142,16 +96,17 @@ class EvictionPolicy:
         self.spec = spec
         self.cfg = cfg
         self.seed = seed
+        self.lines = cfg.compression_lines(spec)
 
     def observe_logits(self, layer: int, position: int, logits: np.ndarray) -> None:
         """The ``(kv_heads, group, span)`` scaled logits of the step at
         ``position``, cond block first; the decoder softmaxes them in place."""
 
-    # never called; perfbench/probes.py patches it by name
-    def observe_queries(self, layer: int, position: int, queries) -> None:
+    def observe_attention(self, layer: int, visual_mass: np.ndarray) -> None:
         pass
 
-    def observe_attention(self, layer: int, visual_mass: np.ndarray) -> None:
+    # never called; perfbench/probes.py patches them by name
+    def observe_queries(self, layer: int, position: int, queries) -> None:
         pass
 
     def notify_append(self, layer: int) -> None:
@@ -168,12 +123,11 @@ class EvictionPolicy:
         heads while every post-compaction length equals budget minus one line.
         """
         events = None
-        if should_compress(self.cfg, self.spec, line, cache.visual_len(0, 0)):
-            width = self.spec.width
-            want = (cache.kv_heads, width)
+        if line in self.lines:
+            want = (cache.kv_heads, self.spec.width)
             events = []
             for layer in range(cache.layers):
-                mid = self.evictable_mid(cache, layer, line)
+                mid = cache.partition(layer, self.spec, self.cfg, line)
                 evict = np.asarray(self.select(cache, line, layer, mid), dtype=np.int64)
                 if evict.shape != want:
                     raise LinearKVError(
@@ -190,18 +144,6 @@ class EvictionPolicy:
                 )
         self.line_boundary()
         return events
-
-    def evictable_mid(self, cache: VisualKVCache, layer: int, line: int) -> slice:
-        """The mid slice of ``layer`` at the end of ``line``, which must hold
-        at least one line's worth of eviction candidates."""
-        mid = cache.partition(layer, self.spec, self.cfg, line)
-        if mid.stop - mid.start < self.spec.width:
-            raise LinearKVError(
-                "insufficient-mid-tokens",
-                f"mid region holds {mid.stop - mid.start} entries, need {self.spec.width} "
-                f"(layer {layer}, line {line})",
-            )
-        return mid
 
     def select(self, cache: VisualKVCache, line: int, layer: int, mid: slice) -> np.ndarray:
         """``(kv_heads, width)`` ascending store indices to evict from ``mid``."""
@@ -230,23 +172,15 @@ class LineGuidedPolicy(EvictionPolicy):
 
     def bind(self, cache, spec, cfg, seed):
         super().bind(cache, spec, cfg, seed)
+        # all of its keys are cached by the first token of a compressing line
+        self.mid = cfg.evictable(spec) if self.lines else slice(0, 0)
+        self.mass = np.empty((cache.layers, cache.kv_heads, self.mid.stop - self.mid.start))
         self.line_boundary()
 
     def observe_logits(self, layer, position, logits):
-        width = self.spec.width
-        if position % width == 0:
-            # whether this line ends in a compression is known at its first
-            # token: the store will hold one more line by then. The mid slice
-            # is final too, since the line's appends land after its end
-            line = position // width + 1
-            if should_compress(self.cfg, self.spec, line, self.cache.visual_len(layer, 0) + width):
-                mid = self.evictable_mid(self.cache, layer, line)
-                self.mid[layer] = mid
-                self.mass[layer] = np.zeros((self.cache.kv_heads, mid.stop - mid.start))
-        mid = self.mid[layer]
-        if mid is None:
+        if position // self.spec.width + 1 not in self.lines:
             return
-        cond = self.cache.cond_len
+        mid, cond = self.mid, self.cache.cond_len
         probs = softmax_inplace(logits[:, :, cond + mid.start : cond + mid.stop].copy())
         # row by row in query order, the order saliency's mean adds them
         mass = self.mass[layer]
@@ -255,26 +189,25 @@ class LineGuidedPolicy(EvictionPolicy):
         self.rows[layer] += probs.shape[1]
 
     def select(self, cache, line, layer, mid):
-        if mid != self.mid[layer]:
+        if not self.rows[layer] or mid != self.mid:
             raise LinearKVError(
                 "line-not-scored",
-                f"layer {layer} has no scores for line {line} over the mid slice {mid} "
-                f"(scored: {self.mid[layer]})",
+                f"layer {layer}, line {line}: {self.rows[layer]} rows over {self.mid}, not {mid}",
             )
         return mid.start + bottom_k(self.mass[layer] / self.rows[layer], self.spec.width)
 
     def line_boundary(self):
-        layers = self.cache.layers
-        self.mid = [None] * layers
-        self.mass = [None] * layers
-        self.rows = [0] * layers
+        self.mass.fill(0.0)
+        self.rows = [0] * self.cache.layers
 
 
 class AccumulatedAttentionPolicy(EvictionPolicy):
     """Evict the mid-region entries with the least lifetime attention mass.
 
     The heavy-hitter (H2O) baseline; the ``attacc`` ablation arm runs it as
-    the selection swap of the line-guided pipeline.
+    the selection swap of the line-guided pipeline. ``mass`` holds raw sums
+    since each entry's creation, aligned with the store; every slot past a
+    store's length is zero, so an appended entry starts with none.
     """
 
     name = "h2o"
@@ -282,16 +215,23 @@ class AccumulatedAttentionPolicy(EvictionPolicy):
 
     def bind(self, cache, spec, cfg, seed):
         super().bind(cache, spec, cfg, seed)
-        self.tracker = AttentionMassTracker(cache.layers, cache.kv_heads, cache.capacity)
+        self.mass = np.zeros((cache.layers, cache.kv_heads, cache.capacity))
 
     def observe_attention(self, layer, visual_mass):
-        self.tracker.add(layer, visual_mass)
-
-    def notify_append(self, layer):
-        self.tracker.on_append(layer)
+        n = self.cache.visual_len(layer, 0)
+        if visual_mass.shape != (self.cache.kv_heads, n):
+            raise LinearKVError(
+                "mass-misaligned",
+                f"mass row {visual_mass.shape} does not match the store "
+                f"({self.cache.kv_heads}, {n}) of layer {layer}",
+            )
+        self.mass[layer, :, :n] += visual_mass
 
     def select(self, cache, line, layer, mid):
-        return mid.start + bottom_k(self.tracker.mass(layer)[:, mid], self.spec.width)
+        return mid.start + bottom_k(self.mass[layer, :, mid], self.spec.width)
 
     def shrink_state(self, layer, evict_idx):
-        self.tracker.on_compact(layer, evict_idx)
+        # the store has shrunk already; vacated slots must read zero again
+        n = self.cache.visual_len(layer, 0)
+        drop_entries((self.mass[layer],), n + evict_idx.shape[1], evict_idx)
+        self.mass[layer, :, n:] = 0.0

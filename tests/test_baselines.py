@@ -83,12 +83,12 @@ class TestStreamingRetain:
 
 
 def bound_h2o(mass, width):
-    """An ``h2o`` policy bound to a one-head store whose tracker holds ``mass``."""
+    """An ``h2o`` policy bound to a one-head store whose entries hold ``mass``."""
     cache = VisualKVCache(1, 1, 2, 1, len(mass))
     policy = make_policy("h2o")
     policy.bind(cache, GridSpec(8, width), FIG_CFG, seed=0)
-    for _ in mass:
-        policy.notify_append(0)
+    for p in range(len(mass)):
+        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), p)
     policy.observe_attention(0, np.asarray(mass, dtype=float)[None, :])
     return cache, policy
 

@@ -65,11 +65,12 @@ class TestPartition:
         assert pos[mid.stop :].tolist() == list(range(16, 24))
 
     def test_recent_window_can_swallow_the_mid(self):
+        # an unvalidated config whose anchors and recent lines fill the budget
         cache = make_cache(list(range(24)))
         wide_rec = BudgetConfig(Fraction(3, 8), 24, 8, 2)
-        mid = cache.partition(0, SPEC_8, wide_rec, line=3)
-        assert mid.stop - mid.start == 0
-        assert cache.visual_len(0, 0) - mid.stop == 16
+        with pytest.raises(LinearKVError) as err:
+            cache.partition(0, SPEC_8, wide_rec, line=3)
+        assert err.value.code == "insufficient-mid-tokens"
 
     def test_zero_recency_keeps_the_scoring_line(self):
         # recent_lines=0 partitions exactly like recent_lines=1
@@ -81,12 +82,18 @@ class TestPartition:
         assert pos[mid].tolist() == list(range(8, 16))
 
     def test_gapped_store_after_compaction(self):
-        cache = make_cache(list(range(8)) + [9, 12] + list(range(16, 24)))
-        mid = cache.partition(0, SPEC_8, FIG_CFG, line=3)
+        # line 4 evicts half of the mid; line 5 refills the store
+        cfg = BudgetConfig(Fraction(1, 2), 32, 8, 1)
+        cache = make_cache(list(range(32)))
+        evicted = [8, 10, 11, 13, 14, 15, 17, 19]
+        cache.compact(0, cache.partition(0, SPEC_8, cfg, line=4), [evicted])
+        for p in range(32, 40):
+            cache.append(0, np.zeros((1, 4)), np.zeros((1, 4)), p)
+        mid = cache.partition(0, SPEC_8, cfg, line=5)
         pos = store_positions(cache)
-        assert pos[mid].tolist() == [9, 12]
+        assert pos[mid].tolist() == [p for p in range(8, 32) if p not in evicted]
         assert pos[: mid.start].tolist() == list(range(8))
-        assert pos[mid.stop :].tolist() == list(range(16, 24))
+        assert pos[mid.stop :].tolist() == list(range(32, 40))
 
     def test_before_activation_rejected(self):
         cache = make_cache(list(range(16)))
@@ -94,8 +101,15 @@ class TestPartition:
             cache.partition(0, SPEC_8, FIG_CFG, line=2)
         assert err.value.code == "compression-not-active"
 
+    def test_short_store_rejected(self):
+        # a compression line whose store is one entry short of the budget
+        cache = make_cache(list(range(23)), capacity=24)
+        with pytest.raises(LinearKVError) as err:
+            cache.partition(0, SPEC_8, FIG_CFG, line=3)
+        assert err.value.code == "compression-not-active"
+
     def test_regions_partition_the_store(self):
-        cache = make_cache(list(range(0, 40, 2)))
+        cache = make_cache(list(range(32)))
         cfg = BudgetConfig(Fraction(1, 2), 32, 6, 1)
         mid = cache.partition(0, SPEC_8, cfg, line=4)
         pos = store_positions(cache)
@@ -159,10 +173,12 @@ class TestCompact:
         cache = VisualKVCache(1, 2, 1, 0, 24)
         for p in range(24):
             cache.append(0, np.zeros((2, 1)), np.zeros((2, 1)), p)
-        # head 0 loses an anchor, head 1 a mid entry: the anchor slices differ
-        cache.compact(0, slice(0, 24), [[3], [12]])
+        # head 0 loses anchors, head 1 its mid line; line 4 refills both
+        cache.compact(0, slice(0, 24), [list(range(3, 11)), list(range(8, 16))])
+        for p in range(24, 32):
+            cache.append(0, np.zeros((2, 1)), np.zeros((2, 1)), p)
         with pytest.raises(LinearKVError) as err:
-            cache.partition(0, SPEC_8, FIG_CFG, line=3)
+            cache.partition(0, SPEC_8, FIG_CFG, line=4)
         assert err.value.code == "region-mismatch"
 
     def test_out_of_range_index_rejected(self):

@@ -61,6 +61,12 @@ def test_infeasible_budget_is_usage_error(tmp_path, capsys):
     assert "budget-infeasible" in capsys.readouterr().err
 
 
+def test_negative_region_is_usage_error(tmp_path, capsys):
+    code = main(["generate", *SMALL, "--n-init", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: region-negative")
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--wat", "--out", str(tmp_path)])
@@ -287,6 +293,27 @@ def test_readme_layout_names_exactly_the_modules():
     package = os.listdir(os.path.join(root, "src", "linear_kv"))
     modules = {f for f in package if f.endswith(".py")} - {"__init__.py", "__main__.py"}
     assert sorted(named) == sorted(modules)
+
+
+def _read_all(directory):
+    texts = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                texts.append(fh.read())
+    return "\n".join(texts)
+
+
+def test_every_error_code_is_tested():
+    here = os.path.dirname(__file__)
+    source = _read_all(os.path.join(here, os.pardir, "src", "linear_kv"))
+    codes = set(re.findall(r"(?:LinearKVError|ConfigError)\(\s*\"([\w-]+)\"", source))
+    tests = _read_all(here)
+    # the code opens a string, or follows a space or colon inside one
+    untested = [c for c in codes if not re.search(rf"[\"' ]{c}(?![\w-])", tests)]
+    # a call split over lines is found too
+    assert "budget-infeasible" in codes
+    assert sorted(untested) == []
 
 
 # the address-space limit makes an oversized allocation fail at once; without

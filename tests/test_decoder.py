@@ -9,7 +9,11 @@ from linear_kv.baselines import make_policy
 from linear_kv.decoder import DecodeState, ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import ConfigError, LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
-from linear_kv.oracles import compression_lines_reference, streaming_retained_reference
+from linear_kv.oracles import (
+    compression_lines_reference,
+    mid_region_reference,
+    streaming_retained_reference,
+)
 
 SMALL = ModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=3)
 SPEC_8 = GridSpec(8, 8)
@@ -100,6 +104,46 @@ class TestCadence:
         assert trace.evictions == []
 
 
+def _one_cond(**kw):
+    return ModelConfig(**{**SMALL.__dict__, "cond_len": 1, **kw})
+
+
+# model and explicit regions; 8x8 at 1/2 compresses at the ends of lines 4..7
+_SLICE_CASES = {
+    "no-anchors": (_one_cond(), {"n_init": 0}),
+    "n-init-3": (_one_cond(), {"n_init": 3}),
+    "no-recency": (_one_cond(), {"recent_lines": 0}),
+    "gqa-8-2": (_one_cond(heads=8, kv_heads=2), {}),
+    "cond-len-6": (_one_cond(cond_len=6), {}),
+}
+
+
+class TestEvictableSlice:
+    @pytest.mark.parametrize("policy", ["lineattn", "h2o", "streaming", "random"])
+    @pytest.mark.parametrize("case", list(_SLICE_CASES))
+    def test_every_compression_splits_at_the_budget_slice(self, case, policy):
+        # count each head's anchors and pre-recent positions on the store
+        # every compression actually sees, before it is compacted
+        model, regions = _SLICE_CASES[case]
+        cfg = budget_from_ratio(SPEC_8, Fraction(1, 2), **regions)
+        want = cfg.evictable(SPEC_8)
+        scorer = make_policy(policy)
+        select = scorer.select
+        seen = []
+
+        def checked(cache, line, layer, mid):
+            cut = (line - cfg.protected_lines) * SPEC_8.width
+            heads = mid_region_reference(cache.positions(layer).tolist(), cfg.n_init, cut)
+            assert mid == want
+            assert heads == [want] * cache.kv_heads
+            seen.append((line, layer))
+            return select(cache, line, layer, mid)
+
+        scorer.select = checked
+        RasterDecoder(model).generate(synth_condition(model), SPEC_8, cfg, scorer)
+        assert seen == [(line, layer) for line in range(4, 8) for layer in range(model.layers)]
+
+
 class TestBudgetBound:
     @pytest.mark.parametrize("policy", ["lineattn", "random", "streaming", "h2o"])
     def test_visual_len_bounded_and_post_state_exact(self, policy):
@@ -185,7 +229,7 @@ class TestAccumulatedAttention:
             for row in rec["probs"]:
                 for j, pos in enumerate(positions):
                     expected[pos] += row[cond + j]
-        got = policy.tracker.mass(0)[0]
+        got = policy.mass[0, 0]
         np.testing.assert_allclose(got, expected[: got.size], atol=1e-9)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linear_kv.errors import ConfigError
 from linear_kv.grid import BudgetConfig, GridSpec, budget_from_ratio
+from linear_kv.oracles import compression_lines_reference
 
 
 class TestBudgetFromRatio:
@@ -65,6 +66,12 @@ class TestBudgetFromRatio:
         assert cfg.recent_lines == 0
         assert cfg.protected_lines == 1
 
+    @pytest.mark.parametrize("regions", [{"n_init": -1}, {"recent_lines": -1}])
+    def test_negative_regions_rejected(self, regions):
+        with pytest.raises(ConfigError) as err:
+            budget_from_ratio(GridSpec(8, 8), Fraction(1, 2), **regions)
+        assert err.value.code == "region-negative"
+
     def test_zero_recency_still_budgets_for_the_buffer_line(self):
         # the just-finished line stays protected, so the bound matches r=1
         with pytest.raises(ConfigError, match="budget-infeasible"):
@@ -114,6 +121,16 @@ class TestBudgetFromRatio:
         with pytest.raises(ConfigError) as err:
             cfg.validate(GridSpec(8, 8))
         assert err.value.code == "budget-not-line-aligned"
+
+
+class TestCompressionLines:
+    @given(st.integers(1, 40), st.integers(1, 8), st.data())
+    def test_matches_replay_reference(self, height, width, data):
+        lines = data.draw(st.integers(1, height))
+        rho = Fraction(lines, height)
+        cfg = BudgetConfig(rho, lines * width, 0, 1)
+        want = compression_lines_reference(height, width, cfg.budget, compressing=rho < 1)
+        assert list(cfg.compression_lines(GridSpec(height, width))) == want
 
 
 class TestGridSpec:

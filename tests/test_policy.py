@@ -10,17 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linear_kv.baselines import make_policy
 from linear_kv.cache import VisualKVCache
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import BudgetConfig, GridSpec
 from linear_kv.oracles import bottom_k_reference, saliency_reference
-from linear_kv.policy import (
-    AttentionMassTracker,
-    LineGuidedPolicy,
-    bottom_k,
-    saliency,
-    should_compress,
-)
+from linear_kv.policy import LineGuidedPolicy, bottom_k, saliency
 
 SPEC_8 = GridSpec(8, 8)
 FIG_CFG = BudgetConfig(Fraction(3, 8), 24, 8, 1)
@@ -112,27 +107,6 @@ class TestBottomK:
         assert bottom_k(scores, k).tolist() == bottom_k_reference(scores, k)
 
 
-class TestShouldCompress:
-    def test_fig_cadence_truth_table(self):
-        # store grows by one line per line until compression holds it at the
-        # budget; events fire at the ends of lines 3..7 only
-        length = 0
-        fired = []
-        for line in range(1, 9):
-            length += 8
-            if should_compress(FIG_CFG, SPEC_8, line, length):
-                fired.append(line)
-                length = FIG_CFG.budget - 8
-        assert fired == [3, 4, 5, 6, 7]
-
-    def test_full_budget_never_compresses(self):
-        cfg = BudgetConfig(Fraction(1), 64, 8, 2)
-        assert not any(should_compress(cfg, SPEC_8, line, line * 8) for line in range(1, 9))
-
-    def test_final_line_never_compresses(self):
-        assert not should_compress(FIG_CFG, SPEC_8, 8, 24)
-
-
 def build_polarized_cache(spec, cfg, line, low_positions, kv_heads=1, head_dim=4):
     """Store filled through ``line - 1`` where keys at ``low_positions`` point
     away from the probe direction and everything else points along it.
@@ -200,10 +174,9 @@ class TestLineGuidedPipeline:
         cache, probe, keys = build_polarized_cache(SPEC_8, FIG_CFG, 3, set())
         degenerate = BudgetConfig(Fraction(3, 8), 24, 8, 2)
         policy = LineGuidedPolicy()
-        policy.bind(cache, SPEC_8, degenerate, seed=0)
         with pytest.raises(LinearKVError) as err:
-            # the mid slice is taken, and found empty, at the line's first token
-            decode_line(policy, cache, 3, probe, keys)
+            # the mid slice is taken, and found empty, when the policy binds
+            policy.bind(cache, SPEC_8, degenerate, seed=0)
         assert err.value.code == "insufficient-mid-tokens"
 
     def test_unobserved_line_errors(self):
@@ -272,30 +245,43 @@ class TestLineScoring:
             assert policy.end_of_line(cache, line)
 
 
-class TestAttentionMassTracker:
+def h2o_on_cache(kv_heads=1):
+    cache = VisualKVCache(1, kv_heads, 2, 1, 8)
+    policy = make_policy("h2o")
+    policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
+    return cache, policy
+
+
+def append(cache, *positions):
+    for p in positions:
+        cache.append(0, np.zeros((cache.kv_heads, 2)), np.zeros((cache.kv_heads, 2)), p)
+
+
+class TestAccumulatedAttentionMass:
     def test_uniform_step_gives_equal_shares(self):
-        tracker = AttentionMassTracker(1, 1, capacity=8)
-        for _ in range(5):
-            tracker.on_append(0)
-        tracker.add(0, np.full((1, 5), 1 / 5))
-        np.testing.assert_allclose(tracker.mass(0), [[0.2] * 5], atol=1e-12)
+        cache, policy = h2o_on_cache()
+        append(cache, *range(5))
+        policy.observe_attention(0, np.full((1, 5), 1 / 5))
+        np.testing.assert_allclose(policy.mass[0, :, :5], [[0.2] * 5], atol=1e-12)
 
     def test_alignment_through_append_and_compact(self):
-        tracker = AttentionMassTracker(1, 1, capacity=8)
-        for i in range(4):
-            tracker.on_append(0)
-        tracker.add(0, np.array([[0.4, 0.3, 0.2, 0.1]]))
-        tracker.on_compact(0, [[1, 2]])
-        np.testing.assert_allclose(tracker.mass(0), [[0.4, 0.1]])
-        tracker.on_append(0)
-        tracker.add(0, np.array([[0.0, 0.0, 1.0]]))
-        np.testing.assert_allclose(tracker.mass(0), [[0.4, 0.1, 1.0]])
+        cache, policy = h2o_on_cache()
+        append(cache, *range(4))
+        policy.observe_attention(0, np.array([[0.4, 0.3, 0.2, 0.1]]))
+        evict = np.array([[1, 2]])
+        cache.compact(0, slice(0, 4), evict)
+        policy.shrink_state(0, evict)
+        # the survivors keep their mass and the vacated slots read zero
+        np.testing.assert_array_equal(policy.mass[0], [[0.4, 0.1] + [0.0] * 6])
+        append(cache, 5)
+        policy.observe_attention(0, np.array([[0.0, 0.0, 1.0]]))
+        np.testing.assert_allclose(policy.mass[0, :, :3], [[0.4, 0.1, 1.0]])
 
     def test_misaligned_row_raises_a_coded_error(self):
-        tracker = AttentionMassTracker(1, 2, capacity=8)
-        tracker.on_append(0)
+        cache, policy = h2o_on_cache(kv_heads=2)
+        append(cache, 0)
         with pytest.raises(LinearKVError) as err:
-            tracker.add(0, np.ones((2, 2)))
+            policy.observe_attention(0, np.ones((2, 2)))
         assert err.value.code == "mass-misaligned"
 
 
