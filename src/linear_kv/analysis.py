@@ -4,13 +4,14 @@ Three views of where attention mass goes during a run: the conditional
 versus visual split per step, the cosine overlap between adjacent lines'
 attention on their shared prefix, and a raster-distance histogram. All of
 them consume traces recorded with attention enabled; runs without it raise
-``trace-missing-attention``. Each view works on one layer at a time, over
-the visual entries of all its steps laid side by side in step order. Sums
-per raster position are ``np.bincount`` calls, which add their terms in
-the order a per-step loop would, and sums within one attention row stay
-contiguous ``.sum()`` calls, so the outputs match a per-step loop bit for
-bit. The public table functions build exactly what the file emitters
-write.
+``trace-missing-attention``. Attention is stored as probabilities only;
+the two position views get positions from one ``cached_positions`` replay
+per table. Each view works on one layer at a time, over the visual entries
+of all its steps laid side by side in step order. Sums per raster position
+are ``np.bincount`` calls, which add their terms in the order a per-step
+loop would, and sums within one attention row stay contiguous ``.sum()``
+calls, so the outputs match a per-step loop bit for bit. The public table
+functions build exactly what the file emitters write.
 """
 
 from __future__ import annotations
@@ -22,60 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LinearKVError
-from .trace import DecodeTrace, atomic_write, write_csv
+from .trace import DecodeTrace, atomic_write, cached_positions, write_csv
 
 SIMILARITY_MEASURE = "cosine"
 NORMALIZATION_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """Mass split of one attention row over conditional vs visual entries."""
-
-    cond_mass: float
-    visual_mass: float
-    cond_mean: float
-    visual_mean: float
-
-
-def _check_normalized(totals: np.ndarray) -> None:
-    bad = np.abs(totals - 1.0) > NORMALIZATION_TOLERANCE
-    if bad.any():
-        raise LinearKVError(
-            "non-normalized-attention", f"row sums to {totals[bad][0]}, expected 1"
-        )
-
-
-def attention_allocation(row, cond_len: int) -> Allocation:
-    """Split one normalized attention row at the conditional boundary.
-
-    ``cond_mean`` and ``visual_mean`` are per-token averages within each
-    block; an empty visual block (the very first step) has mean zero.
-    """
-    r = np.asarray(row, dtype=np.float64)
-    _check_normalized(r.sum(keepdims=True))
-    if not 1 <= cond_len <= r.size:
-        raise LinearKVError("shape-mismatch", f"cond_len {cond_len} vs row of {r.size}")
-    cond_mass = float(r[:cond_len].sum())
-    visual_mass = 1.0 - cond_mass
-    visual_count = r.size - cond_len
-    return Allocation(
-        cond_mass=cond_mass,
-        visual_mass=visual_mass,
-        cond_mean=cond_mass / cond_len,
-        visual_mean=visual_mass / visual_count if visual_count else 0.0,
-    )
-
-
-@dataclass(frozen=True)
 class _LayerAttention:
-    """One layer's attention over a whole run. ``probs`` keeps each step's
-    ``(heads, span)`` array; the visual entries of every step stand side by
-    side in step order, one row per query head: their probabilities and
-    cached positions ``(heads, entries)`` and the step of each entry
+    """One layer's visual attention over a whole run, every step's entries
+    side by side in step order: probabilities and cached positions, one row
+    per query head ``(heads, entries)``, and the step of each entry
     ``(entries,)``. Step ``s`` owns entries ``start[s] : start[s] + count[s]``."""
 
-    probs: list
     visual: np.ndarray
     positions: np.ndarray
     step: np.ndarray
@@ -83,26 +43,33 @@ class _LayerAttention:
     count: np.ndarray
 
 
-def _layer_attention(trace: DecodeTrace, layer: int) -> _LayerAttention:
+def _layer_probs(trace: DecodeTrace, layer: int) -> list:
+    """Each step's ``(heads, span)`` attention rows of one layer, once every
+    row is known to cover the conditional block."""
     if not trace.steps or trace.steps[0].attn is None:
-        raise LinearKVError(
-            "trace-missing-attention", "run was not recorded with attention enabled"
-        )
+        message = "run was not recorded with attention enabled"
+        raise LinearKVError("trace-missing-attention", message)
+    cond = trace.config["cond_len"]
+    probs = [np.asarray(s.attn[layer], dtype=np.float64) for s in trace.steps]
+    shortest = min(p.shape[1] for p in probs)
+    if not 1 <= cond <= shortest:
+        raise LinearKVError("shape-mismatch", f"cond_len {cond} vs row of {shortest}")
+    return probs
+
+
+def _layer_attention(trace: DecodeTrace, layer: int, kv: np.ndarray) -> _LayerAttention:
+    """``kv`` is the layer's ``(kv_heads, entries)`` :func:`cached_positions`."""
     cfg = trace.config
     cond = cfg["cond_len"]
-    probs = [np.asarray(s.attn[layer]["probs"], dtype=np.float64) for s in trace.steps]
+    probs = _layer_probs(trace, layer)
     count = np.array([p.shape[1] for p in probs]) - cond
-    if not 1 <= cond <= cond + count.min():
-        raise LinearKVError("shape-mismatch", f"cond_len {cond} vs row of {cond + count.min()}")
-    kv = [np.asarray(s.attn[layer]["kv_positions"], dtype=np.int64) for s in trace.steps]
     visual = np.concatenate([p[:, cond:] for p in probs], axis=1)
-    positions = np.repeat(np.concatenate(kv, axis=1), cfg["heads"] // cfg["kv_heads"], axis=0)
+    positions = np.repeat(kv, cfg["heads"] // cfg["kv_heads"], axis=0)
     if positions.shape != visual.shape:
-        raise LinearKVError(
-            "shape-mismatch", f"positions {positions.shape} vs visual attention {visual.shape}"
-        )
+        message = f"positions {positions.shape} vs visual attention {visual.shape}"
+        raise LinearKVError("shape-mismatch", message)
     step = np.repeat(np.arange(len(probs)), count)
-    return _LayerAttention(probs, visual, positions, step, np.cumsum(count) - count, count)
+    return _LayerAttention(visual, positions, step, np.cumsum(count) - count, count)
 
 
 def _bins(index: np.ndarray, shape: tuple, weights=None) -> np.ndarray:
@@ -119,9 +86,13 @@ def _cond_masses(trace: DecodeTrace) -> np.ndarray:
     cond = cfg["cond_len"]
     out = np.empty((len(trace.steps), cfg["layers"], cfg["heads"]))
     for layer in range(cfg["layers"]):
-        att = _layer_attention(trace, layer)
-        _check_normalized(np.array([p.sum(axis=1) for p in att.probs]))
-        out[:, layer] = np.stack([p[:, :cond] for p in att.probs]).sum(axis=2)
+        probs = _layer_probs(trace, layer)
+        totals = np.array([p.sum(axis=1) for p in probs])
+        bad = np.abs(totals - 1.0) > NORMALIZATION_TOLERANCE
+        if bad.any():
+            message = f"row sums to {totals[bad][0]}, expected 1"
+            raise LinearKVError("non-normalized-attention", message)
+        out[:, layer] = np.stack([p[:, :cond] for p in probs]).sum(axis=2)
     return out
 
 
@@ -146,8 +117,9 @@ def interline_table(trace: DecodeTrace) -> np.ndarray:
     height, width, heads = cfg["height"], cfg["width"], cfg["heads"]
     cells = height * width
     out = np.zeros((cfg["layers"], heads, height - 1))
+    kv_positions = cached_positions(trace)
     for layer in range(cfg["layers"]):
-        att = _layer_attention(trace, layer)
+        att = _layer_attention(trace, layer, kv_positions[layer])
         line = att.step // width
         index = ((np.arange(heads)[:, None] * height + line) * cells + att.positions).ravel()
         mean = _bins(index, (heads, height, cells), att.visual.ravel()) / width
@@ -182,8 +154,9 @@ def locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfi
     cells = cfg["height"] * cfg["width"]
     head_offset = np.arange(heads)[:, None]
     profiles = {}
+    kv_positions = cached_positions(trace)
     for layer in range(cfg["layers"]):
-        att = _layer_attention(trace, layer)
+        att = _layer_attention(trace, layer, kv_positions[layer])
         is_anchor = att.positions < n_init
         anchor_count = _bins((att.step + steps * head_offset)[is_anchor], (heads, steps))
         # positions are sorted, so each row's anchors are a prefix of its

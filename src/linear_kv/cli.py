@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from . import analysis, bench
@@ -23,22 +23,7 @@ from .trace import DecodeTrace, write_csv
 
 OUT_ENV = "LINEAR_KV_OUT"
 
-_CONFIG_FLAGS = (
-    "grid",
-    "rho",
-    "policy",
-    "n_init",
-    "recent_lines",
-    "layers",
-    "heads",
-    "kv_heads",
-    "head_dim",
-    "vocab",
-    "cond_len",
-    "seed",
-    "trace_attention",
-    "out",
-)
+_CONFIG_FLAGS = tuple(f.name for f in fields(RunConfig))
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -46,17 +31,16 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid", help="grid as HxW, e.g. 8x8")
     p.add_argument("--rho", help="keep ratio as a fraction, e.g. 3/8 or 1")
     p.add_argument("--policy", choices=sorted(POLICY_NAMES))
-    p.add_argument("--n-init", type=int, dest="n_init")
-    p.add_argument("--recent-lines", type=int, dest="recent_lines")
+    p.add_argument("--n-init", type=int)
+    p.add_argument("--recent-lines", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--heads", type=int)
-    p.add_argument("--kv-heads", type=int, dest="kv_heads")
-    p.add_argument("--head-dim", type=int, dest="head_dim")
+    p.add_argument("--kv-heads", type=int)
+    p.add_argument("--head-dim", type=int)
     p.add_argument("--vocab", type=int)
-    p.add_argument("--cond-len", type=int, dest="cond_len")
+    p.add_argument("--cond-len", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--trace-attention", action="store_true", default=None,
-                   dest="trace_attention")
+    p.add_argument("--trace-attention", action="store_true", default=None)
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or ./out)")
 
 

@@ -56,15 +56,8 @@ class RunConfig:
         return spec, cfg, self.model()
 
     def model(self) -> ModelConfig:
-        return ModelConfig(
-            layers=self.layers,
-            heads=self.heads,
-            kv_heads=self.kv_heads,
-            head_dim=self.head_dim,
-            vocab=self.vocab,
-            cond_len=self.cond_len,
-            seed=self.seed,
-        )
+        names = (f.name for f in dataclasses.fields(ModelConfig))
+        return ModelConfig(**{name: getattr(self, name) for name in names})
 
 
 _INT_KEYS = frozenset(

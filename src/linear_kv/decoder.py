@@ -225,8 +225,7 @@ class RasterDecoder:
             if policy.wants_attention:
                 policy.observe_attention(li, probs[:, :, cond_len:].sum(axis=1))
             if attn_trace is not None:
-                positions = cache.positions(li).copy()
-                attn_trace.append({"kv_positions": positions, "probs": probs.reshape(mc.heads, -1)})
+                attn_trace.append(probs.reshape(mc.heads, -1))
             cache.append(li, k, v, p)
             x = x + heads_out.reshape(-1) @ lw.wo
             x = x + np.tanh(x @ lw.w1) @ lw.w2

@@ -18,11 +18,11 @@ no clock data at all.
 
 ``attn`` holds one ``{"probs"}`` object per layer: the base64 text of a
 little-endian ``<f8`` array of shape ``(heads, span)``, its shape following
-from the header config and the step's ``span``. The cached positions each
-row attends over are not stored: the cache at step ``i`` holds positions
-``0 .. i-1`` minus every position an eviction record has named, so
-:meth:`DecodeTrace.read` rebuilds each step's ``kv_positions`` of shape
-``(kv_heads, span - cond_len)`` from the eviction records as it reads them.
+from the header config and the step's ``span``. The positions each row
+attends over are stored nowhere, in memory or on disk: the cache at step
+``i`` holds ``0 .. i-1`` minus every position an eviction record named.
+:meth:`DecodeTrace.read` replays the records over the spans to validate
+them, and :func:`cached_positions` replays them to hand the positions out.
 Schemas 1 and 2, which stored the positions of every step, are rejected.
 """
 
@@ -79,9 +79,9 @@ class StepRecord:
     """One decode step. ``span`` counts the entries attended per head
     (conditional plus visual, before this step's append); ``visual_len`` is
     the per-head store length after the append and any compression.
-    ``attn``, when recorded, holds per layer ``kv_positions``
-    ``(kv_heads, span - cond_len)`` and ``probs`` ``(heads, span)``; a trace
-    file stores only ``probs``."""
+    ``attn``, when recorded, holds one ``(heads, span)`` array of attention
+    probabilities per layer; :func:`cached_positions` supplies the positions
+    they attend over."""
 
     index: int
     line: int
@@ -103,10 +103,6 @@ def _decode(text: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
-def _attn_to_json(attn):
-    return [{"probs": _encode(rec["probs"], "<f8")} for rec in attn]
-
-
 def _int(value, what: str, nullable: bool = False):
     """``value`` if it is an integer (``bool`` is not), else ``ValueError``."""
     if type(value) is int or (nullable and value is None):
@@ -115,9 +111,9 @@ def _int(value, what: str, nullable: bool = False):
 
 
 class _CachedPositions:
-    """The raster positions each (layer, kv head) holds while a trace is read:
-    every step hands out a copy of the live rows and then appends its own
-    index; an eviction record removes its positions from one row."""
+    """The raster positions each (layer, kv head) holds while a run is
+    replayed: every step attends over the live rows and then appends its
+    own index; an eviction record removes its positions from one row."""
 
     def __init__(self, config: dict):
         layers, heads, kv_heads = config["layers"], config["heads"], config["kv_heads"]
@@ -128,11 +124,12 @@ class _CachedPositions:
         self.lens = np.zeros((layers, kv_heads), dtype=np.int64)
 
     def step(self, index: int, visual: int) -> np.ndarray:
-        """The ``(layers, kv_heads, visual)`` rows step ``index`` attends over."""
+        """The ``(layers, kv_heads, visual)`` rows step ``index`` attends over,
+        as a view that the next eviction overwrites."""
         if (self.lens != visual).any():
             held = sorted(set(self.lens.ravel().tolist()))
             raise ValueError(f"span leaves {visual} visual entries, the cache holds {held}")
-        rows = self.rows[:, :, :visual].copy()
+        rows = self.rows[:, :, :visual]
         self.rows[:, :, visual] = index
         self.lens += 1
         return rows
@@ -154,6 +151,14 @@ class _CachedPositions:
         self.lens[ev.layer, ev.head] = ev.post_len
 
 
+def _by_last_step(evictions, width: int) -> dict[int, list[EvictionEvent]]:
+    """Eviction records keyed by the index of their line's last step."""
+    by_step: dict[int, list[EvictionEvent]] = {}
+    for ev in evictions:
+        by_step.setdefault(ev.line * width - 1, []).append(ev)
+    return by_step
+
+
 @dataclass
 class DecodeTrace:
     """Everything one generation run produced, reproducible from its header."""
@@ -171,10 +176,7 @@ class DecodeTrace:
     def records(self):
         """All records as dicts, in file order."""
         yield {"record": "header", "schema": TRACE_SCHEMA, **self.header}
-        by_line: dict[int, list[EvictionEvent]] = {}
-        for ev in self.evictions:
-            by_line.setdefault(ev.line, []).append(ev)
-        width = self.config["width"]
+        by_step = _by_last_step(self.evictions, self.config["width"])
         for step in self.steps:
             rec = {
                 "record": "step",
@@ -186,11 +188,10 @@ class DecodeTrace:
                 "step_ns": step.step_ns,
             }
             if step.attn is not None:
-                rec["attn"] = _attn_to_json(step.attn)
+                rec["attn"] = [{"probs": _encode(probs, "<f8")} for probs in step.attn]
             yield rec
-            if (step.index + 1) % width == 0:
-                for ev in by_line.get(step.line, ()):
-                    yield {"record": "eviction", **vars(ev)}
+            for ev in by_step.get(step.index, ()):
+                yield {"record": "eviction", **vars(ev)}
         summary = {"record": "summary"}
         if self.final_hidden is not None:
             summary["final_hidden"] = np.asarray(self.final_hidden).tolist()
@@ -227,7 +228,7 @@ class DecodeTrace:
         except OSError as exc:
             raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
         header, summary, steps, evictions, lineno = None, None, [], [], 0
-        cached = None
+        cached = None  # replays the eviction records of a trace with attention
 
         def corrupt(message):
             return LinearKVError("trace-corrupt", f"{path}:{lineno}: {message}")
@@ -253,22 +254,18 @@ class DecodeTrace:
                         if i != len(steps) or i >= total or line != i // width + 1:
                             raise corrupt(f"step {i} on line {line} out of order")
                         attn = rec.get("attn")
+                        if i == 0 and attn is not None:
+                            cached = _CachedPositions(config)
+                        if (attn is None) != (cached is None):
+                            raise corrupt("attention on some steps and not on others")
                         if attn is not None:
                             if len(attn) != config["layers"]:
                                 raise ValueError(
                                     f"attention for {len(attn)} layers, expected {config['layers']}"
                                 )
-                            if i == 0:
-                                cached = _CachedPositions(config)
-                        if (attn is None) != (cached is None):
-                            raise corrupt("attention on some steps and not on others")
-                        if attn is not None:
-                            positions = cached.step(i, span - config["cond_len"])
+                            cached.step(i, span - config["cond_len"])
                             shape = (config["heads"], span)
-                            attn = [
-                                {"kv_positions": kv, "probs": _decode(layer["probs"], "<f8", shape)}
-                                for kv, layer in zip(positions, attn)
-                            ]
+                            attn = [_decode(layer["probs"], "<f8", shape) for layer in attn]
                         steps.append(StepRecord(
                             i, line, _int(rec["token"], "token"), span,
                             _int(rec["visual_len"], "visual_len"),
@@ -303,3 +300,24 @@ class DecodeTrace:
         if summary is None:
             raise corrupt("no summary record")
         return cls(header, steps, evictions, final_hidden, summary.get("cache"))
+
+
+def cached_positions(trace: DecodeTrace) -> np.ndarray:
+    """The cached positions every step attended over, ``(layers, kv_heads,
+    entries)``: each step's ``span - cond_len`` visual entries side by side
+    in step order, rebuilt by replaying the eviction records over the spans.
+    A trace whose records the replay cannot apply raises ``trace-corrupt``."""
+    cfg = trace.config
+    counts = [step.span - cfg["cond_len"] for step in trace.steps]
+    by_step, at = _by_last_step(trace.evictions, cfg["width"]), 0
+    try:
+        cached = _CachedPositions(cfg)
+        out = np.empty((cfg["layers"], cfg["kv_heads"], sum(counts)), dtype=np.int64)
+        for step, count in zip(trace.steps, counts):
+            out[:, :, at : at + count] = cached.step(step.index, count)
+            at += count
+            for ev in by_step.get(step.index, ()):
+                cached.evict(ev)
+    except ValueError as exc:
+        raise LinearKVError("trace-corrupt", str(exc)) from None
+    return out

@@ -18,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linear_kv.analysis import (
-    Allocation,
-    attention_allocation,
     interline_table,
     locality_profiles,
     write_allocation_csv,
@@ -31,32 +29,37 @@ from linear_kv.baselines import make_policy
 from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
-from linear_kv.trace import DecodeTrace, StepRecord
+from linear_kv.policy import EvictionEvent
+from linear_kv.trace import DecodeTrace, StepRecord, cached_positions
 
 
-def synthetic_trace():
+# step, line, cached positions, attention row (conditional entry first)
+SYNTHETIC_ROWS = [
+    (0, 1, [], [1.0]),
+    (1, 1, [0], [0.5, 0.5]),
+    (2, 2, [0, 1], [0.2, 0.3, 0.5]),
+    (3, 2, [0, 1, 2], [0.1, 0.5, 0.3, 0.1]),
+    (4, 3, [1, 2, 3], [0.25, 0.25, 0.4, 0.1]),
+    (5, 3, [1, 2, 3, 4], [0.2, 0.35, 0.15, 0.2, 0.1]),
+]
+
+
+def synthetic_trace(cond_len=1, scale=1.0):
     """Six-step 3x2 run with one head, one layer, and one mid eviction.
 
     Position 0 is dropped before line 3 starts, so the line-2/line-3
-    comparison exercises the zero-fill path.
+    comparison exercises the zero-fill path. ``scale`` multiplies every
+    attention row, so anything but 1 leaves them unnormalized.
     """
     config = {
         "height": 3,
         "width": 2,
-        "cond_len": 1,
+        "cond_len": cond_len,
         "layers": 1,
         "heads": 1,
         "kv_heads": 1,
         "n_init": 1,
     }
-    rows = [
-        (0, 1, [], [1.0]),
-        (1, 1, [0], [0.5, 0.5]),
-        (2, 2, [0, 1], [0.2, 0.3, 0.5]),
-        (3, 2, [0, 1, 2], [0.1, 0.5, 0.3, 0.1]),
-        (4, 3, [1, 2, 3], [0.25, 0.25, 0.4, 0.1]),
-        (5, 3, [1, 2, 3, 4], [0.2, 0.35, 0.15, 0.2, 0.1]),
-    ]
     steps = [
         StepRecord(
             index=index,
@@ -64,68 +67,43 @@ def synthetic_trace():
             token=index,
             span=1 + len(kv),
             visual_len=len(kv),
-            attn=[{"kv_positions": [kv], "probs": [row]}],
+            attn=[scale * np.array([row])],
         )
-        for index, line, kv, row in rows
+        for index, line, kv, row in SYNTHETIC_ROWS
     ]
     return DecodeTrace(
         header={"schema": 1, "config": config},
         steps=steps,
-        evictions=[],
+        evictions=[EvictionEvent(2, 0, 0, [0], 3)],
         final_hidden=[0.0],
         cache_snapshot={},
     )
 
 
-def real_trace(height=4, width=4, rho=Fraction(3, 4), policy="lineattn", seed=5):
+def real_trace(height=4, width=4, rho=Fraction(3, 4), policy="lineattn", seed=5, kv_heads=1):
     spec = GridSpec(height, width)
     cfg = budget_from_ratio(spec, rho, n_init=width, recent_lines=1)
-    mc = ModelConfig(layers=2, heads=2, kv_heads=1, head_dim=8, vocab=64, cond_len=4, seed=seed)
+    mc = ModelConfig(
+        layers=2, heads=2, kv_heads=kv_heads, head_dim=8, vocab=64, cond_len=4, seed=seed
+    )
     dec = RasterDecoder(mc)
     return dec.generate(
         synth_condition(mc), spec, cfg, make_policy(policy), trace_attention=True
     )
 
 
-class TestAllocation:
-    def test_uniform_row(self):
-        a = attention_allocation([0.25, 0.25, 0.25, 0.25], cond_len=1)
-        assert a == Allocation(0.25, 0.75, 0.25, 0.25)
+EMITTERS = (
+    ("allocation.csv", write_allocation_csv),
+    ("interline.csv", write_interline_csv),
+    ("locality.csv", write_locality_csv),
+    ("summary.json", write_summary_json),
+)
 
-    def test_hand_row(self):
-        a = attention_allocation([0.1, 0.5, 0.3, 0.1], cond_len=1)
-        assert math.isclose(a.cond_mass, 0.1)
-        assert math.isclose(a.visual_mass, 0.9)
-        assert math.isclose(a.visual_mean, 0.3)
 
-    def test_all_conditional(self):
-        # first decode step: no visual entries yet
-        a = attention_allocation([0.6, 0.4], cond_len=2)
-        assert a.visual_mass == 0.0
-        assert a.visual_mean == 0.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(LinearKVError, match="non-normalized-attention"):
-            attention_allocation([0.5, 0.6], cond_len=1)
-
-    def test_rejects_bad_cond_len(self):
-        with pytest.raises(LinearKVError, match="shape-mismatch"):
-            attention_allocation([1.0], cond_len=2)
-
-    @given(
-        weights=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12),
-        data=st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_split_is_exhaustive(self, weights, data):
-        row = np.array(weights) / sum(weights)
-        cond_len = data.draw(st.integers(1, len(weights) - 1))
-        a = attention_allocation(row, cond_len)
-        assert math.isclose(a.cond_mass + a.visual_mass, 1.0, abs_tol=1e-9)
-        assert math.isclose(a.cond_mean * cond_len, a.cond_mass, abs_tol=1e-9)
-        assert math.isclose(
-            a.visual_mean * (len(weights) - cond_len), a.visual_mass, abs_tol=1e-9
-        )
+class TestPositions:
+    def test_replay_gives_the_hand_written_rows(self):
+        want = [p for _, _, kv, _ in SYNTHETIC_ROWS for p in kv]
+        assert cached_positions(synthetic_trace()).tolist() == [[want]]
 
 
 class TestInterline:
@@ -163,14 +141,16 @@ class TestInterline:
         assert table.shape == (cfg["layers"], cfg["heads"], cfg["height"] - 1)
         assert ((table >= 0.0) & (table <= 1.0 + 1e-12)).all()
 
-    def test_survives_round_trip(self, tmp_path):
-        trace = real_trace()
-        path = tmp_path / "run.jsonl"
-        trace.write(str(path))
-        loaded = DecodeTrace.read(str(path))
-        np.testing.assert_allclose(
-            interline_table(loaded), interline_table(trace), rtol=0, atol=1e-12
-        )
+    @pytest.mark.parametrize("kv_heads", [2, 1], ids=["mha", "gqa"])
+    def test_survives_round_trip(self, tmp_path, kv_heads):
+        trace = real_trace(kv_heads=kv_heads)
+        loaded = DecodeTrace.read(trace.write(str(tmp_path / "run.jsonl")))
+        np.testing.assert_array_equal(interline_table(loaded), interline_table(trace))
+        for name, emit in EMITTERS:
+            written = [emit(source, str(tmp_path / f"{label}-{name}"))
+                       for label, source in (("memory", trace), ("file", loaded))]
+            with open(written[0], "rb") as memory, open(written[1], "rb") as file:
+                assert memory.read() == file.read(), name
 
 
 class TestLocality:
@@ -202,6 +182,45 @@ class TestLocality:
 
 
 class TestEmitters:
+    def test_hand_computed_allocation(self, tmp_path):
+        path = write_allocation_csv(synthetic_trace(), str(tmp_path / "alloc.csv"))
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        # each line's mean conditional mass over its two steps; step 0
+        # attends over the conditional entry alone
+        for row, cond_mass in zip(rows, (0.75, 0.15, 0.225)):
+            assert math.isclose(float(row[3]), cond_mass, abs_tol=1e-12)
+            assert math.isclose(float(row[4]), 1 - cond_mass, abs_tol=1e-12)
+
+    def test_allocation_rejects_unnormalized_rows(self, tmp_path):
+        with pytest.raises(LinearKVError, match="non-normalized-attention"):
+            write_allocation_csv(synthetic_trace(scale=1.1), str(tmp_path / "alloc.csv"))
+
+    def test_allocation_rejects_a_cond_len_past_a_row(self, tmp_path):
+        # the first row holds one entry, so two conditional entries cannot fit
+        with pytest.raises(LinearKVError, match="shape-mismatch"):
+            write_allocation_csv(synthetic_trace(cond_len=2), str(tmp_path / "alloc.csv"))
+
+    @given(
+        weights=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_allocation_split_is_exhaustive(self, tmp_path_factory, weights, data):
+        row = np.array(weights) / sum(weights)
+        cond_len = data.draw(st.integers(1, len(weights) - 1))
+        # one line of two steps that attend over the same normalized row
+        config = {"height": 1, "width": 2, "cond_len": cond_len, "layers": 1, "heads": 1}
+        steps = [StepRecord(i, 1, 0, row.size, 0, attn=[row[None]]) for i in range(2)]
+        trace = DecodeTrace({"config": config}, steps)
+        path = str(tmp_path_factory.mktemp("alloc") / "alloc.csv")
+        with open(write_allocation_csv(trace, path)) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        cond_mass, visual_mass = map(float, rows[1][3:])
+        assert math.isclose(cond_mass, row[:cond_len].sum(), abs_tol=1e-9)
+        assert math.isclose(cond_mass + visual_mass, 1.0, abs_tol=1e-9)
+
     def test_allocation_csv(self, tmp_path):
         trace = real_trace()
         path = str(tmp_path / "alloc.csv")
@@ -307,12 +326,7 @@ def test_outputs_match_pinned_digests(tmp_path, case):
     )
     assert sorted({e.line for e in trace.evictions}) == lines
     loaded = DecodeTrace.read(trace.write(str(tmp_path / "trace.jsonl")))
-    for name, emit in (
-        ("allocation.csv", write_allocation_csv),
-        ("interline.csv", write_interline_csv),
-        ("locality.csv", write_locality_csv),
-        ("summary.json", write_summary_json),
-    ):
+    for name, emit in EMITTERS:
         for label, source in (("memory", trace), ("file", loaded)):
             path = emit(source, os.path.join(str(tmp_path), f"{label}-{name}"))
             with open(path, "rb") as fh:

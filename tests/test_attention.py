@@ -110,7 +110,7 @@ class TestDecoderAttention:
             decoder.decode_step(state)
             if step not in (0, 1, 9, 24, 25, 40, 63):
                 continue
-            probs = state.last_step["attn"][0]["probs"]
+            probs = state.last_step["attn"][0]
             assert probs.shape == (heads, keys.shape[1])
             for h in range(heads):
                 k, v = keys[h // group], values[h // group]

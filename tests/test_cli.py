@@ -3,6 +3,7 @@
 import argparse
 import base64
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 import linear_kv
 from linear_kv.cli import build_parser, main
+from linear_kv.config import RunConfig
 from linear_kv.trace import DecodeTrace
 
 SMALL = [
@@ -277,12 +279,40 @@ def test_removed_names_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-def test_readme_names_exactly_the_subcommands():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        named = set(re.findall(r"^linear-kv (\S+)", fh.read(), flags=re.MULTILINE))
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+RUN_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _subcommands():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert named == set(sub.choices)
+    return sub.choices
+
+
+def test_readme_names_exactly_the_subcommands():
+    with open(README) as fh:
+        named = set(re.findall(r"^linear-kv (\S+)", fh.read(), flags=re.MULTILINE))
+    assert named == set(_subcommands())
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [("generate", set()), ("bench", {"rhos", "policies", "seeds"}), ("ablate", set())],
+    ids=["generate", "bench", "ablate"],
+)
+def test_config_flags_are_the_run_config_fields(command, own):
+    dests = {a.dest for a in _subcommands()[command]._actions} - {"help"}
+    assert dests - own == RUN_CONFIG_FIELDS | {"config"}
+
+
+def test_readme_lists_exactly_the_run_config_fields():
+    with open(README) as fh:
+        text = fh.read()
+    shared = text.split("Shared flags:", 1)[1].split("Flags beat", 1)[0]
+    flags = {flag.replace("-", "_") for flag in re.findall(r"`--([\w-]+)", shared)}
+    assert flags == RUN_CONFIG_FIELDS | {"config"}
+    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    keys = section.split("Keys mirror the flags (", 1)[1].split(")", 1)[0]
+    assert set(re.findall(r"`(\w+)`", keys)) == RUN_CONFIG_FIELDS
 
 
 def test_readme_layout_names_exactly_the_modules():

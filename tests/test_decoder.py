@@ -221,14 +221,14 @@ class TestAccumulatedAttention:
         policy = make_policy("h2o")
         trace = decoder.generate(synth_condition(model), spec, cfg, policy, trace_attention=True)
         cond = trace.config["cond_len"]
-        # oracle: re-sum stored rows per position over the steps it was cached
+        # oracle: re-sum stored rows per position over the steps it was
+        # cached; at rho 1 nothing is evicted, so step i attends over 0 .. i-1
+        assert not trace.evictions
         expected = np.zeros(spec.total)
         for step in trace.steps:
-            rec = step.attn[0]
-            positions = rec["kv_positions"][0]
-            for row in rec["probs"]:
-                for j, pos in enumerate(positions):
-                    expected[pos] += row[cond + j]
+            for row in step.attn[0]:
+                for pos in range(step.index):
+                    expected[pos] += row[cond + pos]
         got = policy.mass[0, 0]
         np.testing.assert_allclose(got, expected[: got.size], atol=1e-9)
 

@@ -16,7 +16,7 @@ from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
 import linear_kv.trace as trace_module
-from linear_kv.trace import TRACE_SCHEMA, DecodeTrace
+from linear_kv.trace import TRACE_SCHEMA, DecodeTrace, cached_positions
 
 MODEL = ModelConfig(layers=1, heads=2, kv_heads=1, head_dim=4, vocab=32, cond_len=3, seed=2)
 
@@ -28,6 +28,12 @@ def make_trace(trace_attention=False):
     return decoder.generate(
         synth_condition(MODEL), spec, cfg, make_policy("lineattn"), trace_attention
     )
+
+
+def _step_positions(trace):
+    """Each step's ``(layers, kv_heads, span - cond_len)`` cached positions."""
+    ends = np.cumsum([step.span - trace.config["cond_len"] for step in trace.steps])
+    return np.split(cached_positions(trace), ends[:-1], axis=2)
 
 
 class TestRoundTrip:
@@ -47,13 +53,11 @@ class TestRoundTrip:
         assert len(loaded.steps) == len(trace.steps)
         for step, back in zip(trace.steps, loaded.steps):
             assert len(back.attn) == MODEL.layers
-            for rec, got in zip(step.attn, back.attn):
-                for key, dtype in (("kv_positions", np.int64), ("probs", np.float64)):
-                    want = np.asarray(rec[key])
-                    assert got[key].dtype == dtype
-                    assert got[key].shape == want.shape
-                    # bit-exact, not merely equal: compare the raw bytes
-                    assert got[key].tobytes() == want.astype(dtype).tobytes()
+            for want, got in zip(step.attn, back.attn):
+                assert got.dtype == np.float64
+                assert got.shape == want.shape == (MODEL.heads, step.span)
+                # bit-exact, not merely equal: compare the raw bytes
+                assert got.tobytes() == want.tobytes()
         assert loaded.canonical_body() == trace.canonical_body()
 
     def test_attention_holds_only_probs(self, tmp_path):
@@ -65,7 +69,7 @@ class TestRoundTrip:
         assert [sorted(layer) for layer in rec["attn"]] == [["probs"]] * MODEL.layers
         probs = np.frombuffer(base64.b64decode(rec["attn"][0]["probs"]), dtype="<f8")
         assert probs.size == MODEL.heads * rec["span"]
-        np.testing.assert_array_equal(probs, trace.steps[5].attn[0]["probs"].ravel())
+        np.testing.assert_array_equal(probs, trace.steps[5].attn[0].ravel())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -75,7 +79,7 @@ class TestRoundTrip:
         st.integers(2, 4),
         st.data(),
     )
-    def test_rebuilt_positions_equal_the_recorded_ones(
+    def test_replayed_positions_equal_the_live_cache(
         self, tmp_path_factory, policy, kv_heads, height, width, data
     ):
         mc = ModelConfig(
@@ -87,27 +91,45 @@ class TestRoundTrip:
         fewest = 2 + -(-n_init // width)  # anchors, one protected line, one to evict
         kept = height if policy == "full" else data.draw(st.integers(fewest, height), "lines")
         cfg = budget_from_ratio(spec, Fraction(kept, height), n_init, recent_lines)
-        trace = RasterDecoder(mc).generate(
+        decoder = RasterDecoder(mc)
+        live, decode_step = [], decoder.decode_step
+
+        def snapshot_then_step(state):
+            # what each layer's cache holds as the step begins
+            live.append(np.stack([state.cache.positions(li) for li in range(mc.layers)]))
+            return decode_step(state)
+
+        decoder.decode_step = snapshot_then_step  # generate calls it once per step
+        trace = decoder.generate(
             synth_condition(mc), spec, cfg, make_policy(policy), trace_attention=True
         )
+        assert len(live) == spec.total
+        want = np.concatenate(live, axis=2)
         path = str(tmp_path_factory.mktemp("rebuild") / "t.jsonl")
         loaded = DecodeTrace.read(trace.write(path))
-        for step, back in zip(trace.steps, loaded.steps):
-            for rec, got in zip(step.attn, back.attn):
-                assert got["kv_positions"].dtype == np.int64
-                assert got["kv_positions"].shape == rec["kv_positions"].shape
-                assert got["kv_positions"].tobytes() == rec["kv_positions"].tobytes()
+        for source in (trace, loaded):
+            got = cached_positions(source)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         # the last step's rows, plus its own append, minus the last line's
         # evictions, are the cache the run ended with
-        last = loaded.steps[-1]
+        last, rows = loaded.steps[-1], _step_positions(loaded)[-1]
         for layer in range(mc.layers):
             for head in range(kv_heads):
-                row = [*last.attn[layer]["kv_positions"][head].tolist(), last.index]
+                row = [*rows[layer, head].tolist(), last.index]
                 for ev in loaded.evictions:
                     if (ev.line, ev.layer, ev.head) == (height, layer, head):
                         row = [p for p in row if p not in ev.evicted_positions]
                 cached = trace.cache_snapshot["heads"][f"{layer}:{head}"]["positions"]
                 assert row == cached
+
+    def test_replay_rejects_a_missing_eviction(self):
+        trace = make_trace()
+        del trace.evictions[0]
+        with pytest.raises(LinearKVError) as err:
+            cached_positions(trace)
+        assert err.value.code == "trace-corrupt"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -182,10 +204,11 @@ class TestRejectedFiles:
         trace = make_trace(trace_attention=True)
         records = _records(trace)
         records[0]["schema"] = 1
+        positions = _step_positions(trace)
         for rec in records:
             if rec["record"] == "step":
-                attn = trace.steps[rec["i"]].attn
-                rec["attn"] = [{k: v.tolist() for k, v in layer.items()} for layer in attn]
+                attn = zip(positions[rec["i"]], trace.steps[rec["i"]].attn)
+                rec["attn"] = [{"kv_positions": kv.tolist(), "probs": p.tolist()} for kv, p in attn]
         _expect("trace-schema-mismatch", tmp_path, records)
 
     def test_reversed_and_cut_steps(self, tmp_path):
@@ -231,9 +254,10 @@ class TestRejectedFiles:
         trace = make_trace(trace_attention=True)
         records = _records(trace)
         records[0]["schema"] = 2
+        positions = _step_positions(trace)
         for rec in records:
             if rec["record"] == "step":
-                kv = trace.steps[rec["i"]].attn[0]["kv_positions"]
+                kv = positions[rec["i"]][0]
                 rec["attn"][0]["kv_positions"] = base64.b64encode(kv.tobytes()).decode()
         _expect("trace-schema-mismatch", tmp_path, records)
 
