@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import analysis, bench
 from .baselines import POLICY_NAMES, make_policy
-from .config import RunConfig, load_config, save_config
+from .config import KINDS, RunConfig, load_config, save_config
 from .decoder import RasterDecoder, synth_condition
 from .errors import ConfigError, LinearKVError
 from .grid import GridSpec
@@ -23,33 +23,27 @@ from .trace import DecodeTrace, write_csv
 
 OUT_ENV = "LINEAR_KV_OUT"
 
-_CONFIG_FLAGS = tuple(f.name for f in fields(RunConfig))
+# what a field's name and kind cannot say
+_FLAG_EXTRAS = {
+    "grid": {"help": "grid as HxW, e.g. 8x8"},
+    "rho": {"help": "keep ratio as a fraction, e.g. 3/8 or 1"},
+    "policy": {"choices": sorted(POLICY_NAMES)},
+    "out": {"help": f"output directory (default ${OUT_ENV} or ./out)"},
+}
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value file; explicit flags win over it")
-    p.add_argument("--grid", help="grid as HxW, e.g. 8x8")
-    p.add_argument("--rho", help="keep ratio as a fraction, e.g. 3/8 or 1")
-    p.add_argument("--policy", choices=sorted(POLICY_NAMES))
-    p.add_argument("--n-init", type=int)
-    p.add_argument("--recent-lines", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--kv-heads", type=int)
-    p.add_argument("--head-dim", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--cond-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trace-attention", action="store_true", default=None)
-    p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or ./out)")
+    for name, kind in KINDS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=int if kind == "int" else None, **_FLAG_EXTRAS.get(name, {}))
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None
-    }
+    overrides = {name: getattr(args, name) for name in KINDS if getattr(args, name) is not None}
     if args.config:
         return load_config(args.config, overrides)
     return replace(RunConfig(), **overrides)

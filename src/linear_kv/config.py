@@ -60,21 +60,17 @@ class RunConfig:
         return ModelConfig(**{name: getattr(self, name) for name in names})
 
 
-_INT_KEYS = frozenset(
-    {"layers", "heads", "kv_heads", "head_dim", "vocab", "cond_len", "seed"}
-)
-_OPT_INT_KEYS = frozenset({"n_init", "recent_lines"})
-_BOOL_KEYS = frozenset({"trace_attention"})
-_KNOWN_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+# each key parses as the kind its annotation names: "int | None" as int
+KINDS = {f.name: f.type.split(" | ")[0] for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, text: str):
-    if key in _INT_KEYS or key in _OPT_INT_KEYS:
+    if KINDS[key] == "int":
         try:
             return int(text)
         except ValueError:
             raise ConfigError("value-parse", f"{key}={text!r} is not an integer") from None
-    if key in _BOOL_KEYS:
+    if KINDS[key] == "bool":
         if text not in ("true", "false"):
             raise ConfigError("value-parse", f"{key}={text!r}; use true or false")
         return text == "true"
@@ -94,7 +90,7 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KINDS:
             unknown.append(key)
             continue
         values[key] = _parse_value(key, value)

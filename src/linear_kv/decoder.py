@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -257,28 +257,14 @@ class RasterDecoder:
     ) -> DecodeTrace:
         """Run the full raster scan and assemble the trace."""
         state = self.prefill(cond_tokens, spec, cfg, policy, trace_attention)
-        mc = self.cfg
-        header = {
-            "config": {
-                "height": spec.height,
-                "width": spec.width,
-                "rho": str(cfg.rho),
-                "budget": cfg.budget,
-                "n_init": cfg.n_init,
-                "recent_lines": cfg.recent_lines,
-                "policy": policy.name,
-                "layers": mc.layers,
-                "heads": mc.heads,
-                "kv_heads": mc.kv_heads,
-                "head_dim": mc.head_dim,
-                "vocab": mc.vocab,
-                "cond_len": len(state.cond_tokens),
-                "seed": mc.seed,
-                "trace_attention": trace_attention,
-            },
-            "rng": RNG_NAME,
-            "weight_order": WEIGHT_ORDER,
-        }
+        config = {**asdict(spec), **asdict(cfg), **asdict(self.cfg)}
+        config.update(
+            rho=str(cfg.rho),
+            cond_len=len(state.cond_tokens),
+            policy=policy.name,
+            trace_attention=trace_attention,
+        )
+        header = {"config": config, "rng": RNG_NAME, "weight_order": WEIGHT_ORDER}
         steps: list[StepRecord] = []
         for i in range(spec.total):
             t0 = time.perf_counter_ns()

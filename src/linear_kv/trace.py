@@ -141,13 +141,14 @@ class _CachedPositions:
         n = self.lens[ev.layer, ev.head]
         row = self.rows[ev.layer, ev.head, :n]
         evicted = np.array(ev.evicted_positions, dtype=np.int64)
-        keep = ~np.isin(row, evicted)
-        # strictly increasing means distinct, so every one must be cached
-        if (np.diff(evicted) <= 0).any() or n - keep.sum() != evicted.size:
+        # a replayed row is sorted, so each cached position is found where it
+        # would be inserted; the bound check comes first and guards an empty row
+        at = np.searchsorted(row, evicted)
+        if (np.diff(evicted) <= 0).any() or (at >= n).any() or (row[at] != evicted).any():
             raise ValueError("evicted positions are not increasing cached positions")
         if n - evicted.size != ev.post_len:
             raise ValueError(f"{n - evicted.size} entries left, post_len {ev.post_len}")
-        self.rows[ev.layer, ev.head, : ev.post_len] = row[keep]
+        self.rows[ev.layer, ev.head, : ev.post_len] = np.delete(row, at)
         self.lens[ev.layer, ev.head] = ev.post_len
 
 
@@ -228,7 +229,7 @@ class DecodeTrace:
         except OSError as exc:
             raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
         header, summary, steps, evictions, lineno = None, None, [], [], 0
-        cached = None  # replays the eviction records of a trace with attention
+        cached = traced = None
 
         def corrupt(message):
             return LinearKVError("trace-corrupt", f"{path}:{lineno}: {message}")
@@ -249,21 +250,25 @@ class DecodeTrace:
                         header = {k: v for k, v in rec.items() if k not in ("record", "schema")}
                         config = header["config"]
                         width, total = config["width"], config["height"] * config["width"]
+                        # headers that name no model, as in hand-built traces, skip the replay
+                        if "layers" in config:
+                            cached = _CachedPositions(config)
                     elif kind == "step":
                         i, line, span = (_int(rec[k], k) for k in ("i", "line", "span"))
                         if i != len(steps) or i >= total or line != i // width + 1:
                             raise corrupt(f"step {i} on line {line} out of order")
                         attn = rec.get("attn")
-                        if i == 0 and attn is not None:
-                            cached = _CachedPositions(config)
-                        if (attn is None) != (cached is None):
+                        if i == 0:
+                            traced = attn is not None
+                        if (attn is not None) != traced:
                             raise corrupt("attention on some steps and not on others")
+                        if cached is not None:
+                            cached.step(i, span - config["cond_len"])
                         if attn is not None:
                             if len(attn) != config["layers"]:
                                 raise ValueError(
                                     f"attention for {len(attn)} layers, expected {config['layers']}"
                                 )
-                            cached.step(i, span - config["cond_len"])
                             shape = (config["heads"], span)
                             attn = [_decode(layer["probs"], "<f8", shape) for layer in attn]
                         steps.append(StepRecord(

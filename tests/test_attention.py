@@ -124,3 +124,40 @@ class TestDecoderAttention:
                 assert (np.asarray(out) >= v.min(axis=0) - 1e-9).all()
             checked += 1
         assert checked == 7
+
+    @pytest.mark.parametrize("heads, kv_heads", [(2, 2), (4, 2)], ids=["mha", "gqa"])
+    def test_conditional_block_matches_references(self, heads, kv_heads):
+        mc = ModelConfig(layers=2, heads=heads, kv_heads=kv_heads, head_dim=8, vocab=64,
+                         cond_len=5, seed=5)
+        spec = GridSpec(8, 8)
+        decoder = RasterDecoder(mc)
+        cond = synth_condition(mc)
+        state = decoder.prefill(
+            cond, spec, budget_from_ratio(spec, Fraction(3, 8)), make_policy("lineattn")
+        )
+        group, d = heads // kv_heads, mc.head_dim
+        scale = 1.0 / math.sqrt(d)
+        # per layer and kv head, the key and value rows of the tokens so far
+        keys = [[[] for _ in range(kv_heads)] for _ in range(mc.layers)]
+        values = [[[] for _ in range(kv_heads)] for _ in range(mc.layers)]
+        for tok in cond:
+            x = decoder.embed[tok]
+            for li, lw in enumerate(decoder.layers):
+                heads_out = []
+                for h in range(heads):
+                    kv = h // group
+                    q = (x @ lw.wq[:, h * d : (h + 1) * d]).tolist()
+                    if keys[li][kv]:
+                        heads_out += attention_reference(q, keys[li][kv], values[li][kv], scale)
+                    else:
+                        heads_out += [0.0] * d  # the first token attends over nothing
+                for kv in range(kv_heads):
+                    cols = slice(kv * d, (kv + 1) * d)
+                    keys[li][kv].append((x @ lw.wk[:, cols]).tolist())
+                    values[li][kv].append((x @ lw.wv[:, cols]).tolist())
+                x = x + np.array(heads_out) @ lw.wo
+                x = x + np.tanh(x @ lw.w1) @ lw.w2
+        for li in range(mc.layers):
+            got_k, got_v = state.cache.conditional(li)
+            np.testing.assert_allclose(got_k, keys[li], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_v, values[li], rtol=0, atol=1e-12)

@@ -13,8 +13,10 @@ import sys
 import pytest
 
 import linear_kv
-from linear_kv.cli import build_parser, main
-from linear_kv.config import RunConfig
+from linear_kv.cli import _run_config, build_parser, main
+from linear_kv.config import RunConfig, load_config, save_config
+from linear_kv.decoder import ModelConfig
+from linear_kv.grid import BudgetConfig, GridSpec
 from linear_kv.trace import DecodeTrace
 
 SMALL = [
@@ -31,6 +33,9 @@ def test_generate_writes_trace_and_config(tmp_path):
     trace = DecodeTrace.read(os.path.join(out, "trace.jsonl"))
     assert len(trace.steps) == 24
     assert trace.config["policy"] == "lineattn"
+    classes = (GridSpec, BudgetConfig, ModelConfig)
+    declared = {f.name for c in classes for f in dataclasses.fields(c)}
+    assert set(trace.config) == declared | {"policy", "trace_attention"}
     saved = open(os.path.join(out, "run_config.txt")).read()
     assert "grid=6x4" in saved
     assert "rho=1/2" in saved
@@ -302,6 +307,27 @@ def test_readme_names_exactly_the_subcommands():
 def test_config_flags_are_the_run_config_fields(command, own):
     dests = {a.dest for a in _subcommands()[command]._actions} - {"help"}
     assert dests - own == RUN_CONFIG_FIELDS | {"config"}
+
+
+# a value other than the default for every RunConfig field
+NON_DEFAULT = {
+    "grid": "6x4", "rho": "1/2", "policy": "streaming", "n_init": 2, "recent_lines": 1,
+    "layers": 1, "heads": 2, "kv_heads": 1, "head_dim": 8, "vocab": 50, "cond_len": 4,
+    "seed": 3, "trace_attention": True, "out": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIG_FIELDS))
+def test_each_setting_reads_alike_from_flag_file_and_saved_config(tmp_path, name):
+    value = NON_DEFAULT[name]
+    want = dataclasses.replace(RunConfig(), **{name: value})
+    assert want != RunConfig()
+    argv = ["generate", "--" + name.replace("_", "-")] + ([] if value is True else [str(value)])
+    from_flag = _run_config(build_parser().parse_args(argv))
+    path = tmp_path / "run.txt"
+    path.write_text(f"{name}={'true' if value is True else value}\n")
+    saved = save_config(want, str(tmp_path / "run_config.txt"))
+    assert from_flag == load_config(str(path)) == load_config(saved) == want
 
 
 def test_readme_lists_exactly_the_run_config_fields():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from linear_kv.config import (
+    KINDS,
     RunConfig,
     dump_config,
     load_config,
@@ -23,19 +24,21 @@ class TestParsing:
         text = "# a full run\n\ngrid=4x4  # inline note\n\npolicy=full\n"
         assert parse_config_text(text) == {"grid": "4x4", "policy": "full"}
 
-    def test_booleans(self):
-        assert parse_config_text("trace_attention=true\n") == {"trace_attention": True}
-        assert parse_config_text("trace_attention=false\n") == {"trace_attention": False}
+    @pytest.mark.parametrize("key", [k for k, kind in KINDS.items() if kind == "bool"])
+    def test_booleans(self, key):
+        assert parse_config_text(f"{key}=true\n") == {key: True}
+        assert parse_config_text(f"{key}=false\n") == {key: False}
         with pytest.raises(ConfigError, match="value-parse"):
-            parse_config_text("trace_attention=yes\n")
+            parse_config_text(f"{key}=yes\n")
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError, match="unknown-config-keys.*zeta.*zulu"):
             parse_config_text("zulu=1\ngrid=4x4\nzeta=2\n")
 
-    def test_bad_int(self):
-        with pytest.raises(ConfigError, match="value-parse"):
-            parse_config_text("seed=abc\n")
+    @pytest.mark.parametrize("key", [k for k, kind in KINDS.items() if kind == "int"])
+    def test_bad_int(self, key):
+        with pytest.raises(ConfigError, match=f"value-parse: {key}='abc' is not an integer"):
+            parse_config_text(f"{key}=abc\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="value-parse"):

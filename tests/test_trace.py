@@ -21,9 +21,10 @@ from linear_kv.trace import TRACE_SCHEMA, DecodeTrace, cached_positions
 MODEL = ModelConfig(layers=1, heads=2, kv_heads=1, head_dim=4, vocab=32, cond_len=3, seed=2)
 
 
-def make_trace(trace_attention=False):
-    spec = GridSpec(4, 4)
-    cfg = budget_from_ratio(spec, Fraction(3, 4), n_init=4, recent_lines=1)
+def make_trace(trace_attention=False, height=4):
+    # a 12-entry budget: every line from the third on evicts, the last excepted
+    spec = GridSpec(height, 4)
+    cfg = budget_from_ratio(spec, Fraction(3, height), n_init=4, recent_lines=1)
     decoder = RasterDecoder(MODEL)
     return decoder.generate(
         synth_condition(MODEL), spec, cfg, make_policy("lineattn"), trace_attention
@@ -261,14 +262,25 @@ class TestRejectedFiles:
                 rec["attn"][0]["kv_positions"] = base64.b64encode(kv.tobytes()).decode()
         _expect("trace-schema-mismatch", tmp_path, records)
 
-    @pytest.mark.parametrize("edit", ["uncached", "negative", "twice", "unsorted", "layer", "head"])
-    def test_eviction_the_cache_cannot_apply(self, tmp_path, edit):
-        records = _records(make_trace(trace_attention=True))
-        at = next(i for i, r in enumerate(records) if r["record"] == "eviction")
+    # untraced traces are replayed as well, since their header names the model
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize(
+        "edit", ["uncached", "evicted", "negative", "twice", "unsorted", "layer", "head"]
+    )
+    def test_eviction_the_cache_cannot_apply(self, tmp_path, edit, traced):
+        records = _records(make_trace(traced, height=6))
+        at, *later = [i for i, r in enumerate(records) if r["record"] == "eviction"]
         ev = records[at]
         assert ev["line"] == 3 and len(ev["evicted_positions"]) == 4
         if edit == "uncached":
             ev["evicted_positions"][-1] = 12  # step 12 has not run yet
+        elif edit == "evicted":
+            # increasing, inside the row's range, but gone since line 3
+            first, at = ev["evicted_positions"][0], later[0]
+            ev = records[at]
+            ev["evicted_positions"][0] = first
+            assert first not in _step_positions(make_trace(height=6))[12]
+            assert ev["evicted_positions"] == sorted(set(ev["evicted_positions"]))
         elif edit == "negative":
             ev["evicted_positions"][0] = -1
         elif edit == "twice":
@@ -280,18 +292,27 @@ class TestRejectedFiles:
         message = _expect("trace-corrupt", tmp_path, records)
         assert f":{at + 1}: " in message
 
-    def test_post_len_disagrees_with_the_rebuilt_row(self, tmp_path):
-        records = _records(make_trace(trace_attention=True))
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    def test_post_len_disagrees_with_the_rebuilt_row(self, tmp_path, traced):
+        records = _records(make_trace(traced))
         at = next(i for i, r in enumerate(records) if r["record"] == "eviction")
         records[at]["post_len"] += 1
         assert f":{at + 1}: " in _expect("trace-corrupt", tmp_path, records)
 
-    def test_span_disagrees_with_the_rebuilt_row(self, tmp_path):
-        records = _records(make_trace(trace_attention=True))
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize("edit", ["drop-eviction", "span"])
+    def test_span_disagrees_with_the_rebuilt_row(self, tmp_path, edit, traced):
+        records = _records(make_trace(traced))
         at = next(i for i, r in enumerate(records) if r["record"] == "eviction")
-        # drop the eviction: the next step's span no longer matches the cache
-        del records[at]
-        assert f":{at + 1}: " in _expect("trace-corrupt", tmp_path, records)
+        if edit == "span":
+            at += 3
+            records[at]["span"] += 1
+        else:
+            # without the eviction the next step's span no longer matches the cache
+            del records[at]
+        assert records[at]["record"] == "step"
+        message = _expect("trace-corrupt", tmp_path, records)
+        assert f":{at + 1}: ValueError: span leaves" in message
 
     @pytest.mark.parametrize("drop", [0, 5])
     def test_attention_on_some_steps_only(self, tmp_path, drop):
