@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,11 +191,9 @@ def locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfi
 # -- file emitters -----------------------------------------------------------
 
 
-def write_allocation_csv(trace: DecodeTrace, path: str) -> str:
-    """One row per (layer, head, line): mean cond/visual mass over the line."""
-    cfg = trace.config
+def _allocation_csv(cfg: dict, cond_masses: np.ndarray, path: str) -> str:
     width = cfg["width"]
-    by_line = _cond_masses(trace).reshape(cfg["height"], width, cfg["layers"], cfg["heads"])
+    by_line = cond_masses.reshape(cfg["height"], width, cfg["layers"], cfg["heads"])
     rows = []
     for layer, head, line in np.ndindex(cfg["layers"], cfg["heads"], cfg["height"]):
         masses = by_line[line, :, layer, head].tolist()
@@ -204,15 +203,35 @@ def write_allocation_csv(trace: DecodeTrace, path: str) -> str:
     return write_csv(path, header, rows, lineterminator="\n")
 
 
-def write_interline_csv(trace: DecodeTrace, path: str) -> str:
-    """One row per (layer, head, line) with the cosine to the next line."""
-    table = interline_table(trace)
+def _interline_csv(table: np.ndarray, path: str) -> str:
     rows = [
         [layer, head, line + 1, table[layer, head, line].item()]
         for layer, head, line in np.ndindex(table.shape)
     ]
     header = ["layer", "head", "line", SIMILARITY_MEASURE]
     return write_csv(path, header, rows, lineterminator="\n")
+
+
+def _summary_json(cfg: dict, cond_masses: np.ndarray, table: np.ndarray, path: str) -> str:
+    masses = cond_masses.ravel().tolist()
+    sims = table.ravel().tolist()
+    payload = {
+        "similarity_measure": SIMILARITY_MEASURE,
+        "config": cfg,
+        "mean_cond_mass": sum(masses) / len(masses),
+        "mean_interline_similarity": sum(sims) / len(sims) if sims else None,
+    }
+    return atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_allocation_csv(trace: DecodeTrace, path: str) -> str:
+    """One row per (layer, head, line): mean cond/visual mass over the line."""
+    return _allocation_csv(trace.config, _cond_masses(trace), path)
+
+
+def write_interline_csv(trace: DecodeTrace, path: str) -> str:
+    """One row per (layer, head, line) with the cosine to the next line."""
+    return _interline_csv(interline_table(trace), path)
 
 
 def write_locality_csv(trace: DecodeTrace, path: str) -> str:
@@ -227,12 +246,16 @@ def write_locality_csv(trace: DecodeTrace, path: str) -> str:
 
 def write_summary_json(trace: DecodeTrace, path: str) -> str:
     """Aggregate allocation/similarity numbers plus the measure metadata."""
-    cond_masses = _cond_masses(trace).ravel().tolist()
-    sims = interline_table(trace).ravel().tolist()
-    payload = {
-        "similarity_measure": SIMILARITY_MEASURE,
-        "config": trace.config,
-        "mean_cond_mass": sum(cond_masses) / len(cond_masses),
-        "mean_interline_similarity": sum(sims) / len(sims) if sims else None,
-    }
-    return atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _summary_json(trace.config, _cond_masses(trace), interline_table(trace), path)
+
+
+def write_all(trace: DecodeTrace, out: str) -> list[str]:
+    """The four emitters' files under ``out``, byte for byte, with the
+    conditional-mass and inter-line tables built once for all of them."""
+    cfg, masses, table = trace.config, _cond_masses(trace), interline_table(trace)
+    return [
+        _allocation_csv(cfg, masses, os.path.join(out, "allocation.csv")),
+        _interline_csv(table, os.path.join(out, "interline.csv")),
+        write_locality_csv(trace, os.path.join(out, "locality.csv")),
+        _summary_json(cfg, masses, table, os.path.join(out, "summary.json")),
+    ]

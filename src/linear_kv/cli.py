@@ -32,9 +32,15 @@ _FLAG_EXTRAS = {
 }
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+# settings of a single run that a sweep's own flags replace
+_SINGLE_RUN = ("policy", "rho", "trace_attention")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, omit=()):
     p.add_argument("--config", help="key=value file; explicit flags win over it")
     for name, kind in KINDS.items():
+        if name in omit:
+            continue
         flag = "--" + name.replace("_", "-")
         if kind == "bool":
             p.add_argument(flag, action="store_true", default=None)
@@ -43,7 +49,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {name: getattr(args, name) for name in KINDS if getattr(args, name) is not None}
+    overrides = {n: v for n in KINDS if (v := getattr(args, n, None)) is not None}
     if args.config:
         return load_config(args.config, overrides)
     return replace(RunConfig(), **overrides)
@@ -89,8 +95,8 @@ def _parse_list(flag: str, text: str, parse) -> list:
 def cmd_bench(args) -> int:
     cfg = _run_config(args)
     out = _out_dir(cfg.out)
-    # the sweep's own --rhos replace the single-run rho, so only the grid
-    # and the model are taken from the run configuration
+    # only the grid, the model and the budget shape come from the run
+    # configuration; the sweep's own flags replace the single-run settings
     spec = GridSpec.parse(cfg.grid)
     rhos = _parse_list("rhos", args.rhos, Fraction)
     policies = args.policies.split(",")
@@ -114,14 +120,7 @@ def cmd_bench(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = DecodeTrace.read(args.trace)
-    out = _out_dir(args.out)
-    paths = [
-        analysis.write_allocation_csv(trace, os.path.join(out, "allocation.csv")),
-        analysis.write_interline_csv(trace, os.path.join(out, "interline.csv")),
-        analysis.write_locality_csv(trace, os.path.join(out, "locality.csv")),
-        analysis.write_summary_json(trace, os.path.join(out, "summary.json")),
-    ]
-    for p in paths:
+    for p in analysis.write_all(trace, _out_dir(args.out)):
         print(f"wrote {p}")
     return 0
 
@@ -182,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bench", help="sweep policies x ratios x seeds")
-    _add_config_flags(p)
+    # no abbreviations, or the single-run --rho would pass for --rhos
+    p = sub.add_parser("bench", help="sweep policies x ratios x seeds", allow_abbrev=False)
+    _add_config_flags(p, omit=_SINGLE_RUN)
     p.add_argument("--rhos", default="3/8", help="comma-separated ratios")
     p.add_argument("--policies", default="lineattn,full", help="comma-separated names")
     p.add_argument("--seeds", default="0", help="comma-separated integers")

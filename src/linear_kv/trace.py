@@ -12,9 +12,14 @@ File layout, one JSON object per line, in chronological order::
 Steps are numbered consecutively from 0, step ``i`` lies on line
 ``i // width + 1``, and a trace holds exactly ``height * width`` of them.
 Eviction records follow their line's last step. ``step_ns`` is the only
-timing field anywhere in the file; :meth:`DecodeTrace.canonical_body` drops
-it so byte comparison between runs ignores wall-clock noise. Headers carry
-no clock data at all.
+timing field anywhere in the file. Headers carry no clock data at all.
+
+One encoder, :meth:`DecodeTrace.lines`, makes every byte: each record's
+line, its keys sorted. :meth:`DecodeTrace.write` streams the lines record
+by record into the temp file, so the whole file never sits in memory, and
+:meth:`DecodeTrace.canonical_body` is the file's bytes minus the
+``step_ns`` fields, so byte comparison between runs ignores wall-clock
+noise.
 
 ``attn`` holds one ``{"probs"}`` object per layer: the base64 text of a
 little-endian ``<f8`` array of shape ``(heads, span)``, its shape following
@@ -44,18 +49,22 @@ from .policy import EvictionEvent
 
 TRACE_SCHEMA = 3
 TIMING_FIELDS = ("step_ns",)
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def atomic_write(path: str, text: str) -> str:
-    """Write ``text`` through a temp file in the target directory and a
-    rename, creating the directory; any OS failure raises ``io-error``."""
+def atomic_write(path: str, content) -> str:
+    """Write ``content``, a ``str`` or an iterable of ``bytes`` chunks written
+    one by one, through a temp file in the target directory and a rename,
+    creating the directory; any OS failure raises ``io-error`` and leaves
+    the target as it was."""
     directory = os.path.dirname(os.path.abspath(path))
+    chunks = [content.encode()] if isinstance(content, str) else content
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise LinearKVError("io-error", f"cannot write {path}: {exc.strerror or exc}") from None
@@ -92,15 +101,15 @@ class StepRecord:
     attn: list | None = None
 
 
-def _encode(values, dtype: str) -> str:
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+def _encode(probs) -> bytes:
+    return base64.b64encode(np.ascontiguousarray(probs, dtype="<f8"))
 
 
-def _decode(text: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
+def _decode(text: str, shape: tuple[int, int]) -> np.ndarray:
     raw = base64.b64decode(text, validate=True)
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)}-byte payload does not fill shape {shape}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _int(value, what: str, nullable: bool = False):
@@ -174,12 +183,21 @@ class DecodeTrace:
     def config(self) -> dict:
         return self.header["config"]
 
-    def records(self):
-        """All records as dicts, in file order."""
-        yield {"record": "header", "schema": TRACE_SCHEMA, **self.header}
+    def lines(self, timing: bool = True):
+        """Each record's line of the file as ASCII bytes, newline included,
+        in file order; ``timing=False`` leaves out the :data:`TIMING_FIELDS`.
+        A step's base64 payloads are spliced in as bytes: ``"attn"`` sorts
+        before every other key, and base64 text needs no JSON escaping."""
+
+        def line(rec: dict) -> bytes:
+            if not timing:
+                rec = {k: v for k, v in rec.items() if k not in TIMING_FIELDS}
+            return _JSON.encode(rec).encode() + b"\n"
+
+        yield line({"record": "header", "schema": TRACE_SCHEMA, **self.header})
         by_step = _by_last_step(self.evictions, self.config["width"])
         for step in self.steps:
-            rec = {
+            scalars = line({
                 "record": "step",
                 "i": step.index,
                 "line": step.line,
@@ -187,36 +205,36 @@ class DecodeTrace:
                 "span": step.span,
                 "visual_len": step.visual_len,
                 "step_ns": step.step_ns,
-            }
-            if step.attn is not None:
-                rec["attn"] = [{"probs": _encode(probs, "<f8")} for probs in step.attn]
-            yield rec
+            })
+            if step.attn is None:
+                yield scalars
+            else:
+                # one payload per layer, and a model has at least one layer
+                probs = b'"},{"probs":"'.join([_encode(p) for p in step.attn])
+                yield b'{"attn":[{"probs":"%s"}],%s' % (probs, scalars[1:])
             for ev in by_step.get(step.index, ()):
-                yield {"record": "eviction", **vars(ev)}
+                yield line({"record": "eviction", **vars(ev)})
         summary = {"record": "summary"}
         if self.final_hidden is not None:
             summary["final_hidden"] = np.asarray(self.final_hidden).tolist()
         if self.cache_snapshot is not None:
             summary["cache"] = self.cache_snapshot
-        yield summary
+        yield line(summary)
 
     def dumps(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in self.records()
-        )
+        return b"".join(self.lines()).decode("ascii")
 
     def canonical_body(self) -> bytes:
-        """Serialized records with every timing field removed."""
-        lines = []
-        for rec in self.records():
-            clean = {k: v for k, v in rec.items() if k not in TIMING_FIELDS}
-            lines.append(json.dumps(clean, sort_keys=True, separators=(",", ":")))
-        return ("\n".join(lines) + "\n").encode()
+        """The file's bytes without the timing fields, built in one buffer
+        that its result takes over."""
+        buf = io.BytesIO()
+        buf.writelines(self.lines(timing=False))
+        return buf.getvalue()
 
     def write(self, path: str) -> str:
-        """Atomic write: temp file in the target directory, then rename."""
-        return atomic_write(path, self.dumps())
+        """Atomic write, streamed record by record into a temp file in the
+        target directory, then renamed."""
+        return atomic_write(path, self.lines())
 
     @classmethod
     def read(cls, path: str) -> "DecodeTrace":
@@ -270,7 +288,7 @@ class DecodeTrace:
                                     f"attention for {len(attn)} layers, expected {config['layers']}"
                                 )
                             shape = (config["heads"], span)
-                            attn = [_decode(layer["probs"], "<f8", shape) for layer in attn]
+                            attn = [_decode(layer["probs"], shape) for layer in attn]
                         steps.append(StepRecord(
                             i, line, _int(rec["token"], "token"), span,
                             _int(rec["visual_len"], "visual_len"),

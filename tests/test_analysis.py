@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linear_kv.analysis as analysis
 from linear_kv.analysis import (
     interline_table,
     locality_profiles,
+    write_all,
     write_allocation_csv,
     write_interline_csv,
     write_locality_csv,
@@ -331,3 +333,25 @@ def test_outputs_match_pinned_digests(tmp_path, case):
             path = emit(source, os.path.join(str(tmp_path), f"{label}-{name}"))
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digests[name], (label, name)
+    # what `analyze` writes, every table built once
+    paths = write_all(loaded, str(tmp_path / "all"))
+    assert [os.path.basename(p) for p in paths] == [name for name, _ in EMITTERS]
+    for path in paths:
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digests[os.path.basename(path)]
+
+
+def test_write_all_builds_each_table_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("_cond_masses", "interline_table", "cached_positions"):
+        real = getattr(analysis, name)
+
+        def counted(trace, real=real, name=name):
+            calls.append(name)
+            return real(trace)
+
+        monkeypatch.setattr(analysis, name, counted)
+    write_all(real_trace(), str(tmp_path))
+    # the locality table replays the evictions for itself
+    assert sorted(calls) == ["_cond_masses", "cached_positions", "cached_positions",
+                             "interline_table"]

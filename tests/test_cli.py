@@ -24,6 +24,8 @@ SMALL = [
     "--layers", "1", "--heads", "2", "--kv-heads", "1", "--head-dim", "8",
     "--cond-len", "4",
 ]
+# bench takes no single-run ratio: its own --rhos replace it
+SWEEP = [f for f in SMALL if f not in ("--rho", "1/2")]
 
 
 def test_generate_writes_trace_and_config(tmp_path):
@@ -83,7 +85,7 @@ def test_unknown_flag_exits_two(tmp_path):
 def test_bench_writes_summary(tmp_path):
     out = str(tmp_path)
     code = main([
-        "bench", *SMALL, "--out", out,
+        "bench", *SWEEP, "--out", out,
         "--rhos", "1/2", "--policies", "lineattn,full", "--seeds", "0,1",
     ])
     assert code == 0
@@ -95,7 +97,7 @@ def test_bench_writes_summary(tmp_path):
 
 
 def test_bench_rejects_unknown_policy(tmp_path, capsys):
-    code = main(["bench", *SMALL, "--out", str(tmp_path), "--policies", "lru"])
+    code = main(["bench", *SWEEP, "--out", str(tmp_path), "--policies", "lru"])
     assert code == 2
     assert "unknown-policy" in capsys.readouterr().err
 
@@ -103,17 +105,30 @@ def test_bench_rejects_unknown_policy(tmp_path, capsys):
 def test_bench_ignores_the_single_run_rho(tmp_path):
     # 6x4 has no line-aligned 3/8 (the single-run default); the sweep's own
     # --rhos are the only ratios it validates
-    flags = [f for f in SMALL if f not in ("--rho", "1/2")]
-    code = main(["bench", *flags, "--out", str(tmp_path), "--rhos", "1/2"])
+    code = main(["bench", *SWEEP, "--out", str(tmp_path), "--rhos", "1/2"])
     assert code == 0
     assert os.path.exists(os.path.join(str(tmp_path), "steps_lineattn_1-2_seed0.csv"))
+
+
+@pytest.mark.parametrize(
+    "flag", [["--policy", "h2o"], ["--rho", "1/8"], ["--trace-attention"]],
+    ids=["policy", "rho", "trace-attention"],
+)
+def test_bench_refuses_single_run_flags(tmp_path, capsys, flag):
+    # --policies and --rhos choose what a sweep runs; a single-run flag
+    # next to them would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *SWEEP, "--out", str(tmp_path), "--rhos", "1/2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize(
     "flag,value", [("--rhos", "1/2,abc"), ("--rhos", "1/0"), ("--seeds", "0,x")]
 )
 def test_bench_bad_list_is_usage_error(tmp_path, capsys, flag, value):
-    code = main(["bench", *SMALL, "--out", str(tmp_path), flag, value])
+    code = main(["bench", *SWEEP, "--out", str(tmp_path), flag, value])
     assert code == 2
     assert "value-parse" in capsys.readouterr().err
 
@@ -239,7 +254,7 @@ def _deeply_nested_trace(tmp_path):
     "argv, code",
     [
         (lambda tmp: ["generate", *SMALL, "--seed", "-1"], "model-config-invalid"),
-        (lambda tmp: ["bench", *SMALL, "--rhos", "1/2", "--seeds", "-1"], "model-config-invalid"),
+        (lambda tmp: ["bench", *SWEEP, "--rhos", "1/2", "--seeds", "-1"], "model-config-invalid"),
         (_non_utf8_config, "value-parse"),
         (_deeply_nested_trace, "trace-corrupt"),
     ],
@@ -263,7 +278,7 @@ def test_non_utf8_config_names_the_file(tmp_path, capsys):
     "argv, code",
     [
         (["generate", *SMALL, "--rho", "1/5"], "budget-not-line-aligned"),
-        (["bench", *SMALL, "--rhos", "2"], "rho-out-of-range"),
+        (["bench", *SWEEP, "--rhos", "2"], "rho-out-of-range"),
         (["analyze", "--trace", "{tmp}/absent.jsonl"], "io-error"),
         (["ablate", *SMALL, "--grid", "0x4"], "grid-degenerate"),
     ],
@@ -300,13 +315,17 @@ def test_readme_names_exactly_the_subcommands():
 
 
 @pytest.mark.parametrize(
-    "command, own",
-    [("generate", set()), ("bench", {"rhos", "policies", "seeds"}), ("ablate", set())],
+    "command, own, single_run",
+    [
+        ("generate", set(), set()),
+        ("bench", {"rhos", "policies", "seeds"}, {"policy", "rho", "trace_attention"}),
+        ("ablate", set(), set()),
+    ],
     ids=["generate", "bench", "ablate"],
 )
-def test_config_flags_are_the_run_config_fields(command, own):
+def test_config_flags_are_the_run_config_fields(command, own, single_run):
     dests = {a.dest for a in _subcommands()[command]._actions} - {"help"}
-    assert dests - own == RUN_CONFIG_FIELDS | {"config"}
+    assert dests - own == (RUN_CONFIG_FIELDS - single_run) | {"config"}
 
 
 # a value other than the default for every RunConfig field

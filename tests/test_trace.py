@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,9 @@ from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
 import linear_kv.trace as trace_module
-from linear_kv.trace import TRACE_SCHEMA, DecodeTrace, cached_positions
+from linear_kv.trace import (
+    TRACE_SCHEMA, DecodeTrace, StepRecord, atomic_write, cached_positions,
+)
 
 MODEL = ModelConfig(layers=1, heads=2, kv_heads=1, head_dim=4, vocab=32, cond_len=3, seed=2)
 
@@ -144,7 +147,7 @@ class TestRecordOrder:
     def test_evictions_follow_their_line(self):
         trace = make_trace()
         kinds = []
-        for rec in trace.records():
+        for rec in _records(trace):
             if rec["record"] == "step":
                 kinds.append(("step", rec["i"]))
             elif rec["record"] == "eviction":
@@ -180,6 +183,133 @@ class TestCanonicalBody:
         for step in trace.steps:
             step.step_ns = 1
         assert trace.canonical_body() == a
+
+
+def _reference_records(trace):
+    """Every record as a dict with its payloads as base64 strings, the way
+    traces were built before one encoder made the bytes."""
+    yield {"record": "header", "schema": TRACE_SCHEMA, **trace.header}
+    by_step = {}
+    for ev in trace.evictions:
+        by_step.setdefault(ev.line * trace.config["width"] - 1, []).append(ev)
+    for step in trace.steps:
+        rec = {
+            "record": "step", "i": step.index, "line": step.line, "token": step.token,
+            "span": step.span, "visual_len": step.visual_len, "step_ns": step.step_ns,
+        }
+        if step.attn is not None:
+            rec["attn"] = [
+                {"probs": base64.b64encode(np.asarray(p, "<f8").tobytes()).decode("ascii")}
+                for p in step.attn
+            ]
+        yield rec
+        for ev in by_step.get(step.index, ()):
+            yield {"record": "eviction", **vars(ev)}
+    summary = {"record": "summary"}
+    if trace.final_hidden is not None:
+        summary["final_hidden"] = np.asarray(trace.final_hidden).tolist()
+    if trace.cache_snapshot is not None:
+        summary["cache"] = trace.cache_snapshot
+    yield summary
+
+
+def _reference_bytes(trace, timing):
+    """One ``json.dumps`` per record, timing fields kept or dropped."""
+    out = []
+    for rec in _reference_records(trace):
+        if not timing:
+            rec = {k: v for k, v in rec.items() if k != "step_ns"}
+        out.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(out).encode()
+
+
+def _mha_trace():
+    mc = ModelConfig(layers=2, heads=2, kv_heads=2, head_dim=4, vocab=32, cond_len=3, seed=5)
+    spec = GridSpec(5, 4)
+    cfg = budget_from_ratio(spec, Fraction(3, 5), n_init=2, recent_lines=1)
+    return RasterDecoder(mc).generate(
+        synth_condition(mc), spec, cfg, make_policy("h2o"), trace_attention=True
+    )
+
+
+def _untimed_trace():
+    trace = make_trace(trace_attention=True)
+    for step in trace.steps:
+        step.step_ns = None
+    return trace
+
+
+def _header_light_trace():
+    # a header that names no model, as benchmark harnesses build by hand
+    run = make_trace()
+    cfg = run.config
+    header = {"config": {k: cfg[k] for k in ("height", "width", "rho", "budget", "policy", "seed")}}
+    steps = [StepRecord(s.index, s.line, s.token, s.span, s.visual_len, s.step_ns) for s in run.steps]
+    return DecodeTrace(header, steps, run.evictions, run.final_hidden, run.cache_snapshot)
+
+
+ENCODER_CASES = {
+    "untraced-gqa": make_trace,
+    "traced-gqa": lambda: make_trace(trace_attention=True),
+    "traced-mha": _mha_trace,
+    "untimed": _untimed_trace,
+    "header-light": _header_light_trace,
+}
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+    def test_bytes_equal_one_json_dumps_per_record(self, tmp_path, case):
+        trace = ENCODER_CASES[case]()
+        timed = _reference_bytes(trace, timing=True)
+        assert trace.dumps().encode() == timed
+        with open(trace.write(str(tmp_path / "t.jsonl")), "rb") as fh:
+            assert fh.read() == timed
+        assert trace.canonical_body() == _reference_bytes(trace, timing=False)
+
+    def test_memory_of_the_24x24_traced_trace(self, tmp_path):
+        mc = ModelConfig(seed=1)
+        spec = GridSpec(24, 24)
+        cfg = budget_from_ratio(spec, Fraction(1, 4))
+        trace = RasterDecoder(mc).generate(
+            synth_condition(mc), spec, cfg, make_policy("lineattn"), trace_attention=True
+        )
+        path = str(tmp_path / "t.jsonl")
+        tracemalloc.start()
+        try:
+            trace.write(path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            body = trace.canonical_body()
+            _, body_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file is about 12 MB; write holds one record at a time, and the
+        # body's buffer becomes the body
+        assert os.path.getsize(path) > 10 * 2**20
+        assert write_peak < 2**20
+        assert body_peak - before <= 1.5 * len(body)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_a_stream_that_fails_part_way(self, tmp_path, existing):
+        target = tmp_path / "t.jsonl"
+        if existing:
+            target.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield b"x" * 100_000  # past the write buffer, so the temp file has it
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(LinearKVError) as err:
+            atomic_write(str(target), chunks())
+        assert err.value.code == "io-error"
+        assert "No space left on device" in str(err.value)
+        assert os.listdir(tmp_path) == (["t.jsonl"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes\n"
 
 
 def _records(trace):
