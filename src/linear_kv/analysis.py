@@ -5,8 +5,8 @@ versus visual split per step, the cosine overlap between adjacent lines'
 attention on their shared prefix, and a raster-distance histogram. All of
 them consume traces recorded with attention enabled; runs without it raise
 ``trace-missing-attention``. Attention is stored as probabilities only;
-the two position views get positions from one ``cached_positions`` replay
-per table. Each view works on one layer at a time, over the visual entries
+the two position views share one ``cached_positions`` replay per
+``analyze``. Each view works on one layer at a time, over the visual entries
 of all its steps laid side by side in step order. Sums per raster position
 are ``np.bincount`` calls, which add their terms in the order a per-step
 loop would, and sums within one attention row stay contiguous ``.sum()``
@@ -114,11 +114,14 @@ def interline_table(trace: DecodeTrace) -> np.ndarray:
     by construction; zero when the supports ended up disjoint. Each line's
     means are one ``(heads, height, height * width)`` count over the layer.
     """
+    return _interline_table(trace, cached_positions(trace))
+
+
+def _interline_table(trace: DecodeTrace, kv_positions: np.ndarray) -> np.ndarray:
     cfg = trace.config
     height, width, heads = cfg["height"], cfg["width"], cfg["heads"]
     cells = height * width
     out = np.zeros((cfg["layers"], heads, height - 1))
-    kv_positions = cached_positions(trace)
     for layer in range(cfg["layers"]):
         att = _layer_attention(trace, layer, kv_positions[layer])
         line = att.step // width
@@ -150,12 +153,15 @@ def locality_profiles(trace: DecodeTrace) -> dict[tuple[int, int], LocalityProfi
     Keys below ``n_init`` land in the anchor bucket, everything else in the
     exact-distance histogram; the buckets partition the visual mass.
     """
+    return _locality_profiles(trace, cached_positions(trace))
+
+
+def _locality_profiles(trace: DecodeTrace, kv_positions: np.ndarray) -> dict:
     cfg = trace.config
     heads, n_init, steps = cfg["heads"], cfg["n_init"], len(trace.steps)
     cells = cfg["height"] * cfg["width"]
     head_offset = np.arange(heads)[:, None]
     profiles = {}
-    kv_positions = cached_positions(trace)
     for layer in range(cfg["layers"]):
         att = _layer_attention(trace, layer, kv_positions[layer])
         is_anchor = att.positions < n_init
@@ -224,6 +230,15 @@ def _summary_json(cfg: dict, cond_masses: np.ndarray, table: np.ndarray, path: s
     return atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _locality_csv(profiles: dict, path: str) -> str:
+    rows = []
+    for (layer, head), profile in profiles.items():
+        rows.append([layer, head, "anchor", profile.anchor_mass])
+        for dist in sorted(profile.distance_mass):
+            rows.append([layer, head, str(dist), profile.distance_mass[dist]])
+    return write_csv(path, ["layer", "head", "bucket", "mass"], rows, lineterminator="\n")
+
+
 def write_allocation_csv(trace: DecodeTrace, path: str) -> str:
     """One row per (layer, head, line): mean cond/visual mass over the line."""
     return _allocation_csv(trace.config, _cond_masses(trace), path)
@@ -236,12 +251,7 @@ def write_interline_csv(trace: DecodeTrace, path: str) -> str:
 
 def write_locality_csv(trace: DecodeTrace, path: str) -> str:
     """One row per (layer, head, bucket); buckets are 'anchor' or a distance."""
-    rows = []
-    for (layer, head), profile in locality_profiles(trace).items():
-        rows.append([layer, head, "anchor", profile.anchor_mass])
-        for dist in sorted(profile.distance_mass):
-            rows.append([layer, head, str(dist), profile.distance_mass[dist]])
-    return write_csv(path, ["layer", "head", "bucket", "mass"], rows, lineterminator="\n")
+    return _locality_csv(locality_profiles(trace), path)
 
 
 def write_summary_json(trace: DecodeTrace, path: str) -> str:
@@ -250,12 +260,13 @@ def write_summary_json(trace: DecodeTrace, path: str) -> str:
 
 
 def write_all(trace: DecodeTrace, out: str) -> list[str]:
-    """The four emitters' files under ``out``, byte for byte, with the
-    conditional-mass and inter-line tables built once for all of them."""
-    cfg, masses, table = trace.config, _cond_masses(trace), interline_table(trace)
+    """The four emitters' files under ``out``, byte for byte, building the
+    eviction replay and each table once for all of them."""
+    cfg, masses, kv = trace.config, _cond_masses(trace), cached_positions(trace)
+    table = _interline_table(trace, kv)
     return [
         _allocation_csv(cfg, masses, os.path.join(out, "allocation.csv")),
         _interline_csv(table, os.path.join(out, "interline.csv")),
-        write_locality_csv(trace, os.path.join(out, "locality.csv")),
+        _locality_csv(_locality_profiles(trace, kv), os.path.join(out, "locality.csv")),
         _summary_json(cfg, masses, table, os.path.join(out, "summary.json")),
     ]

@@ -72,7 +72,6 @@ def full_cache_flops(trace: DecodeTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MemoryReport:
-    entries: np.ndarray
     peak_entries: int
     full_peak_entries: int
     savings: float
@@ -88,7 +87,6 @@ def memory_report(trace: DecodeTrace) -> MemoryReport:
     peak = int(entries.max())
     full_peak = int(full.max())
     return MemoryReport(
-        entries=entries,
         peak_entries=peak,
         full_peak_entries=full_peak,
         savings=1.0 - peak / full_peak,
@@ -99,8 +97,6 @@ def memory_report(trace: DecodeTrace) -> MemoryReport:
 class ThroughputSplit:
     first_ns: int
     second_ns: int
-    first_rate: float
-    second_rate: float
     ratio: float
 
 
@@ -120,13 +116,7 @@ def split_half_throughput(trace: DecodeTrace) -> ThroughputSplit:
     second = int(sum(timings[half:]))
     first_rate = half / (first / 1e9)
     second_rate = (len(timings) - half) / (second / 1e9)
-    return ThroughputSplit(
-        first_ns=first,
-        second_ns=second,
-        first_rate=first_rate,
-        second_rate=second_rate,
-        ratio=second_rate / first_rate,
-    )
+    return ThroughputSplit(first_ns=first, second_ns=second, ratio=second_rate / first_rate)
 
 
 # -- sweep runner ------------------------------------------------------------

@@ -71,7 +71,7 @@ class VisualKVCache:
         self._len = [0] * layers
         # last appended position per layer; every head receives it, so no
         # head holds a later one
-        self._last = [-1] * layers
+        self.last_position = [-1] * layers
         self._cond_set = [False] * layers
 
     # -- conditional block ---------------------------------------------------
@@ -127,9 +127,9 @@ class VisualKVCache:
         n = self._len[layer]
         if position < 0:
             raise LinearKVError("position-out-of-grid", f"position {position} negative")
-        if position <= self._last[layer]:
+        if position <= self.last_position[layer]:
             raise LinearKVError(
-                "position-regression", f"position {position} not after {self._last[layer]}"
+                "position-regression", f"position {position} not after {self.last_position[layer]}"
             )
         if n == self.capacity:
             raise LinearKVError(
@@ -141,7 +141,7 @@ class VisualKVCache:
         self._values[layer][:, slot] = values
         self._positions[layer][:, n] = position
         self._len[layer] = n + 1
-        self._last[layer] = position
+        self.last_position[layer] = position
 
     def partition(self, layer: int, spec: GridSpec, cfg: BudgetConfig, line: int) -> slice:
         """The evictable mid region of one layer at the end of ``line`` (1-based).

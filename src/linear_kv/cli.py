@@ -51,7 +51,8 @@ def _add_config_flags(p: argparse.ArgumentParser, omit=()):
 def _run_config(args) -> RunConfig:
     overrides = {n: v for n in KINDS if (v := getattr(args, n, None)) is not None}
     if args.config:
-        return load_config(args.config, overrides)
+        # a file may not set what the command has no flag for
+        return load_config(args.config, overrides, [n for n in KINDS if n not in vars(args)])
     return replace(RunConfig(), **overrides)
 
 

@@ -111,8 +111,8 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """File values under explicit overrides (flags beat the file)."""
+def load_config(path: str, overrides: dict | None = None, refuse=()) -> RunConfig:
+    """File values under explicit overrides (flags beat the file); no key in ``refuse``."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -121,6 +121,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError("value-parse", f"{path} is not UTF-8 text: {exc.reason}") from None
     values = parse_config_text(text)
+    if refused := sorted(set(values).intersection(refuse)):
+        raise ConfigError("refused-config-keys", f"{path} may not set {', '.join(refused)}")
     values.update(overrides or {})
     return dataclasses.replace(RunConfig(), **values)
 

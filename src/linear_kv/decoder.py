@@ -206,8 +206,7 @@ class RasterDecoder:
         policy = state.policy
         cache = state.cache
         p = state.position
-        cond_len = cache.cond_len
-        span = cond_len + cache.visual_len(0, 0)
+        span = cache.cond_len + cache.visual_len(0, 0)
         prev = state.tokens[-1] if state.tokens else state.cond_tokens[-1]
         x = self.embed[prev]
         attn_trace = [] if state.trace_attention else None
@@ -219,11 +218,9 @@ class RasterDecoder:
             keys, values = cache.span(li)
             # every query head of a kv head's group in one batched product
             logits = (q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1)
-            policy.observe_logits(li, p, logits)
             probs = softmax_inplace(logits)
+            policy.observe_attention(li, probs)
             heads_out = probs @ values
-            if policy.wants_attention:
-                policy.observe_attention(li, probs[:, :, cond_len:].sum(axis=1))
             if attn_trace is not None:
                 attn_trace.append(probs.reshape(mc.heads, -1))
             cache.append(li, k, v, p)

@@ -6,11 +6,12 @@ exactly one line's worth of the lowest-scoring entries per head, and leave
 one line of headroom for the next line. The budget alone fixes which lines
 compress and the one store slice they evict from (:class:`BudgetConfig`).
 
-The default scorer softmaxes the logits the decoder computed at each step of
-the current line over the mid-region keys only. Each key's saliency is its
-mean attention mass under that softmax, so the scores form a probability
-vector over eviction candidates. Keys the just-finished line did not look at
-are the ones dropped before the next line starts.
+The default scorer reads the attention probabilities the decoder computed
+at each step of the current line and renormalizes their mid-region columns,
+which equals a softmax over the mid-region logits alone. Each key's
+saliency is its mean mass under that distribution, so the scores form a
+probability vector over eviction candidates. Keys the just-finished line
+did not look at are the ones dropped before the next line starts.
 """
 
 from __future__ import annotations
@@ -83,13 +84,12 @@ def bottom_k(scores, k: int) -> np.ndarray:
 class EvictionPolicy:
     """Owns per-stream scoring state and the end-of-line decision.
 
-    The decoder feeds observations each step, one call per layer (the scaled
-    logits, and attention rows when ``wants_attention`` is set), and calls
-    :meth:`end_of_line` after each line's last append.
+    The decoder hands every layer-step's attention probabilities to
+    :meth:`observe_attention`, before that step's own entries are appended,
+    and calls :meth:`end_of_line` after each line's last append.
     """
 
     name = "?"
-    wants_attention = False
 
     def bind(self, cache: VisualKVCache, spec: GridSpec, cfg: BudgetConfig, seed: int) -> None:
         self.cache = cache
@@ -98,12 +98,9 @@ class EvictionPolicy:
         self.seed = seed
         self.lines = cfg.compression_lines(spec)
 
-    def observe_logits(self, layer: int, position: int, logits: np.ndarray) -> None:
-        """The ``(kv_heads, group, span)`` scaled logits of the step at
-        ``position``, cond block first; the decoder softmaxes them in place."""
-
-    def observe_attention(self, layer: int, visual_mass: np.ndarray) -> None:
-        pass
+    def observe_attention(self, layer: int, probs: np.ndarray) -> None:
+        """One step's ``(kv_heads, group, span)`` attention probabilities at
+        ``layer``, cond block first; the decoder still reads them afterwards."""
 
     # never called; perfbench/probes.py patches them by name
     def observe_queries(self, layer: int, position: int, queries) -> None:
@@ -177,16 +174,18 @@ class LineGuidedPolicy(EvictionPolicy):
         self.mass = np.empty((cache.layers, cache.kv_heads, self.mid.stop - self.mid.start))
         self.line_boundary()
 
-    def observe_logits(self, layer, position, logits):
-        if position // self.spec.width + 1 not in self.lines:
+    def observe_attention(self, layer, probs):
+        # the step's position is the one after the layer's last append
+        if (self.cache.last_position[layer] + 1) // self.spec.width + 1 not in self.lines:
             return
         mid, cond = self.mid, self.cache.cond_len
-        probs = softmax_inplace(logits[:, :, cond + mid.start : cond + mid.stop].copy())
+        p_mid = probs[:, :, cond + mid.start : cond + mid.stop]
+        p_mid = p_mid / p_mid.sum(axis=-1, keepdims=True)
         # row by row in query order, the order saliency's mean adds them
         mass = self.mass[layer]
-        for row in range(probs.shape[1]):
-            mass += probs[:, row]
-        self.rows[layer] += probs.shape[1]
+        for row in range(p_mid.shape[1]):
+            mass += p_mid[:, row]
+        self.rows[layer] += p_mid.shape[1]
 
     def select(self, cache, line, layer, mid):
         if not self.rows[layer] or mid != self.mid:
@@ -211,21 +210,20 @@ class AccumulatedAttentionPolicy(EvictionPolicy):
     """
 
     name = "h2o"
-    wants_attention = True
 
     def bind(self, cache, spec, cfg, seed):
         super().bind(cache, spec, cfg, seed)
         self.mass = np.zeros((cache.layers, cache.kv_heads, cache.capacity))
 
-    def observe_attention(self, layer, visual_mass):
-        n = self.cache.visual_len(layer, 0)
-        if visual_mass.shape != (self.cache.kv_heads, n):
+    def observe_attention(self, layer, probs):
+        n, cond = self.cache.visual_len(layer, 0), self.cache.cond_len
+        if probs.ndim != 3 or probs.shape[::2] != (self.cache.kv_heads, cond + n):
             raise LinearKVError(
                 "mass-misaligned",
-                f"mass row {visual_mass.shape} does not match the store "
-                f"({self.cache.kv_heads}, {n}) of layer {layer}",
+                f"attention {probs.shape} does not match the span "
+                f"({self.cache.kv_heads}, group, {cond + n}) of layer {layer}",
             )
-        self.mass[layer, :, :n] += visual_mass
+        self.mass[layer, :, :n] += probs[:, :, cond:].sum(axis=1)
 
     def select(self, cache, line, layer, mid):
         return mid.start + bottom_k(self.mass[layer, :, mid], self.spec.width)

@@ -83,13 +83,17 @@ class TestStreamingRetain:
 
 
 def bound_h2o(mass, width):
-    """An ``h2o`` policy bound to a one-head store whose entries hold ``mass``."""
+    """An ``h2o`` policy bound to a one-head store whose entries hold ``mass``,
+    in proportion, from one step of two query heads that also attend to a
+    conditional entry."""
     cache = VisualKVCache(1, 1, 2, 1, len(mass))
     policy = make_policy("h2o")
     policy.bind(cache, GridSpec(8, width), FIG_CFG, seed=0)
     for p in range(len(mass)):
         cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), p)
-    policy.observe_attention(0, np.asarray(mass, dtype=float)[None, :])
+    row = np.concatenate([[1.0], mass]) / (1.0 + np.sum(mass))
+    cond_only = np.eye(1, len(row))[0]
+    policy.observe_attention(0, np.stack([row, cond_only])[None])
     return cache, policy
 
 

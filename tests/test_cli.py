@@ -124,6 +124,19 @@ def test_bench_refuses_single_run_flags(tmp_path, capsys, flag):
     assert not os.listdir(tmp_path)
 
 
+def test_bench_refuses_single_run_config_keys(tmp_path, capsys):
+    # the file-side twin of the refused flags
+    path = tmp_path / "sweep.cfg"
+    path.write_text("grid=6x4\npolicy=h2o\nrho=1/8\ntrace_attention=true\n")
+    out = tmp_path / "out"
+    code = main(["bench", *SWEEP, "--config", str(path), "--out", str(out), "--rhos", "1/2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "refused-config-keys" in err
+    assert "policy, rho, trace_attention" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--rhos", "1/2,abc"), ("--rhos", "1/0"), ("--seeds", "0,x")]
 )

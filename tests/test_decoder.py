@@ -240,6 +240,27 @@ class TestGroupedQueryRuns:
         assert max(s.visual_len for s in trace.steps) <= trace.config["budget"]
         assert len({e.line for e in trace.evictions}) == 5
 
+    @pytest.mark.parametrize("policy", ["full", "lineattn", "h2o", "streaming", "random"])
+    def test_every_layer_step_hands_the_policy_its_probabilities(self, policy):
+        model = ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=5)
+        scorer = make_policy(policy)
+        observe = scorer.observe_attention
+        seen = []
+
+        def recorded(layer, probs):
+            seen.append((layer, probs.shape, probs.sum(axis=-1)))
+            observe(layer, probs)
+
+        scorer.observe_attention = recorded
+        cfg = budget_from_ratio(SPEC_8, Fraction(1) if policy == "full" else Fraction(3, 8))
+        trace = RasterDecoder(model).generate(synth_condition(model), SPEC_8, cfg, scorer)
+        assert len(seen) == model.layers * SPEC_8.total
+        for i, (layer, shape, sums) in enumerate(seen):
+            step = trace.steps[i // model.layers]
+            assert layer == i % model.layers
+            assert shape == (model.kv_heads, model.group_size, step.span)
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
 
 class TestAblationConfigs:
     def test_no_anchor_run(self):

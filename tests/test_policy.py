@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linear_kv.attention import softmax_inplace
 from linear_kv.baselines import make_policy
 from linear_kv.cache import VisualKVCache
 from linear_kv.errors import LinearKVError
@@ -128,16 +129,18 @@ def build_polarized_cache(spec, cfg, line, low_positions, kv_heads=1, head_dim=4
 
 def decode_line(policy, cache, line, queries, keys):
     """Step layer 0 through ``line`` as the decoder does: each position's
-    scaled logits over the store's span are observed before the position's
-    own entry is appended. ``queries`` holds one step's ``(heads, d)`` rows,
-    or one per position of the line."""
+    attention probabilities over the store's span are observed before the
+    position's own entry is appended; a step with nothing to attend to (an
+    empty store without a conditional block) observes nothing. ``queries``
+    holds one step's ``(heads, d)`` rows, or one per position of the line."""
     width, d = policy.spec.width, cache.head_dim
     q = np.asarray(queries, dtype=float)
     steps = q if q.ndim == 3 else [q] * width
     for k, p in enumerate(range((line - 1) * width, line * width)):
         span_keys, _ = cache.span(0)
-        grouped = (steps[k] * (1.0 / math.sqrt(d))).reshape(cache.kv_heads, -1, d)
-        policy.observe_logits(0, p, grouped @ span_keys.transpose(0, 2, 1))
+        if span_keys.shape[1]:
+            grouped = (steps[k] * (1.0 / math.sqrt(d))).reshape(cache.kv_heads, -1, d)
+            policy.observe_attention(0, softmax_inplace(grouped @ span_keys.transpose(0, 2, 1)))
         cache.append(0, keys[p], np.zeros((cache.kv_heads, d)), p)
 
 
@@ -258,30 +261,35 @@ def append(cache, *positions):
 
 
 class TestAccumulatedAttentionMass:
+    # two query heads per kv head and one conditional entry, which h2o drops
     def test_uniform_step_gives_equal_shares(self):
         cache, policy = h2o_on_cache()
         append(cache, *range(5))
-        policy.observe_attention(0, np.full((1, 5), 1 / 5))
+        policy.observe_attention(0, np.array([[[0.75] + [0.05] * 5, [0.25] + [0.15] * 5]]))
         np.testing.assert_allclose(policy.mass[0, :, :5], [[0.2] * 5], atol=1e-12)
 
     def test_alignment_through_append_and_compact(self):
         cache, policy = h2o_on_cache()
         append(cache, *range(4))
-        policy.observe_attention(0, np.array([[0.4, 0.3, 0.2, 0.1]]))
+        probs = np.array([[[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.25, 0.25, 0.25, 0.125, 0.125]]])
+        policy.observe_attention(0, probs)
         evict = np.array([[1, 2]])
         cache.compact(0, slice(0, 4), evict)
         policy.shrink_state(0, evict)
         # the survivors keep their mass and the vacated slots read zero
-        np.testing.assert_array_equal(policy.mass[0], [[0.4, 0.1] + [0.0] * 6])
+        np.testing.assert_array_equal(policy.mass[0], [[0.5, 0.1875] + [0.0] * 6])
         append(cache, 5)
-        policy.observe_attention(0, np.array([[0.0, 0.0, 1.0]]))
-        np.testing.assert_allclose(policy.mass[0, :, :3], [[0.4, 0.1, 1.0]])
+        policy.observe_attention(0, np.array([[[0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]]]))
+        np.testing.assert_array_equal(policy.mass[0, :, :3], [[0.5, 0.1875, 1.5]])
 
-    def test_misaligned_row_raises_a_coded_error(self):
+    @pytest.mark.parametrize(
+        "shape", [(2, 1, 3), (2, 2), (1, 1, 2)], ids=["span", "group-summed", "kv-heads"]
+    )
+    def test_misaligned_row_raises_a_coded_error(self, shape):
         cache, policy = h2o_on_cache(kv_heads=2)
         append(cache, 0)
         with pytest.raises(LinearKVError) as err:
-            policy.observe_attention(0, np.ones((2, 2)))
+            policy.observe_attention(0, np.full(shape, 0.5))
         assert err.value.code == "mass-misaligned"
 
 
@@ -330,7 +338,7 @@ class MovedMid(LineGuidedPolicy):
         return super().select(cache, line, layer, slice(mid.start + 1, mid.stop))
 
 class Unobserved(LineGuidedPolicy):
-    def observe_logits(self, layer, position, logits):
+    def observe_attention(self, layer, probs):
         pass
 
 spec = GridSpec(8, 8)
