@@ -1,9 +1,10 @@
 """Cost accounting and benchmark sweeps over recorded runs.
 
-Every number here is derived from the trace alone. Per-step cost uses the
-span the step actually attended over, so the compressed and full runs are
-compared on identical terms; the analytic full-cache curve for the same
-grid is the baseline for savings.
+Every number here is derived from the trace alone. Each cost of a step is a
+fixed per-span coefficient of the model times the span the step actually
+attended over, so the compressed and full runs are compared on identical
+terms; the spans of an uncompressed run of the same length, ``cond_len + i``
+at step ``i``, are the baseline for savings.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .decoder import ModelConfig, RasterDecoder, synth_condition
 from .errors import LinearKVError
 from .grid import GridSpec, budget_from_ratio
 from .trace import DecodeTrace, write_csv
-
-BYTES_PER_SCALAR = {"fp16": 2, "fp32": 4}
 
 STEP_COLUMNS = (
     "step", "policy", "rho", "entries", "bytes_fp16", "bytes_fp32", "flops_proxy", "step_ns"
@@ -38,59 +37,32 @@ SUMMARY_METRICS = (
 )
 
 
-def _model_dims(trace: DecodeTrace):
+def _costs(trace: DecodeTrace, full: bool = False) -> np.ndarray:
+    """Each step's costs as a ``(steps, 4)`` int64 array, in the order of the
+    ``entries .. flops_proxy`` step columns: the KV entries read across all
+    layers and kv heads, their bytes in fp16 and fp32 (a key and a value of
+    ``head_dim`` scalars per entry), and the attention multiply-accumulate
+    proxy ``2 * head_dim * heads * layers``, each times the step's span.
+    ``full`` takes the spans of an uncompressed run of equal length."""
     cfg = trace.config
-    return cfg["layers"], cfg["heads"], cfg["kv_heads"], cfg["head_dim"], cfg["cond_len"]
-
-
-def entries_per_step(trace: DecodeTrace) -> np.ndarray:
-    """KV entries each step attended over, across all layers and kv heads."""
-    layers, _, kv_heads, _, _ = _model_dims(trace)
-    spans = np.array([s.span for s in trace.steps], dtype=np.int64)
-    return layers * kv_heads * spans
-
-
-def full_cache_entries(trace: DecodeTrace) -> np.ndarray:
-    """The same accounting for an uncompressed run of equal length."""
-    layers, _, kv_heads, _, cond = _model_dims(trace)
-    spans = cond + np.arange(len(trace.steps), dtype=np.int64)
-    return layers * kv_heads * spans
+    if full:
+        spans = cfg["cond_len"] + np.arange(len(trace.steps), dtype=np.int64)
+    else:
+        spans = np.array([s.span for s in trace.steps], dtype=np.int64)
+    entries = cfg["layers"] * cfg["kv_heads"]
+    scalars = entries * 2 * cfg["head_dim"]
+    flops = 2 * cfg["layers"] * cfg["heads"] * cfg["head_dim"]
+    return np.outer(spans, [entries, scalars * 2, scalars * 4, flops])
 
 
 def flops_per_step(trace: DecodeTrace) -> np.ndarray:
     """Attention multiply-accumulate proxy: 2 * d * heads * layers * span."""
-    layers, heads, _, head_dim, _ = _model_dims(trace)
-    spans = np.array([s.span for s in trace.steps], dtype=np.int64)
-    return 2 * layers * heads * head_dim * spans
+    return _costs(trace)[:, 3]
 
 
 def full_cache_flops(trace: DecodeTrace) -> np.ndarray:
-    layers, heads, _, head_dim, cond = _model_dims(trace)
-    spans = cond + np.arange(len(trace.steps), dtype=np.int64)
-    return 2 * layers * heads * head_dim * spans
-
-
-@dataclass(frozen=True)
-class MemoryReport:
-    peak_entries: int
-    full_peak_entries: int
-    savings: float
-
-    def bytes_at_peak(self, fmt: str, head_dim: int) -> int:
-        # keys and values both stored, hence the factor of two
-        return self.peak_entries * 2 * head_dim * BYTES_PER_SCALAR[fmt]
-
-
-def memory_report(trace: DecodeTrace) -> MemoryReport:
-    entries = entries_per_step(trace)
-    full = full_cache_entries(trace)
-    peak = int(entries.max())
-    full_peak = int(full.max())
-    return MemoryReport(
-        peak_entries=peak,
-        full_peak_entries=full_peak,
-        savings=1.0 - peak / full_peak,
-    )
+    """The same proxy for an uncompressed run of equal length."""
+    return _costs(trace, full=True)[:, 3]
 
 
 @dataclass(frozen=True)
@@ -127,41 +99,26 @@ def _rho_slug(rho: Fraction) -> str:
 
 
 def step_rows(trace: DecodeTrace, policy: str, rho: Fraction):
-    layers, _, kv_heads, head_dim, _ = _model_dims(trace)
-    entries = entries_per_step(trace)
-    flops = flops_per_step(trace)
-    rows = []
-    for i, step in enumerate(trace.steps):
-        per_entry = 2 * head_dim
-        rows.append(
-            [
-                i,
-                policy,
-                str(rho),
-                int(entries[i]),
-                int(entries[i]) * per_entry * BYTES_PER_SCALAR["fp16"],
-                int(entries[i]) * per_entry * BYTES_PER_SCALAR["fp32"],
-                int(flops[i]),
-                step.step_ns if step.step_ns is not None else "",
-            ]
-        )
-    return rows
+    return [
+        [i, policy, str(rho), *costs, "" if step.step_ns is None else step.step_ns]
+        for i, (step, costs) in enumerate(zip(trace.steps, _costs(trace).tolist()))
+    ]
 
 
 def summarize(trace: DecodeTrace) -> dict[str, float]:
-    report = memory_report(trace)
-    head_dim = trace.config["head_dim"]
-    flops = flops_per_step(trace)
-    half = len(flops) // 2
+    costs = _costs(trace)
+    peak_entries, peak_fp16, peak_fp32, _ = costs.max(axis=0).tolist()
+    full_peak = int(_costs(trace, full=True)[:, 0].max())
+    flops = costs[:, 3]
     throughput = split_half_throughput(trace)
-    total_ns = int(sum(s.step_ns for s in trace.steps))
+    total_ns = throughput.first_ns + throughput.second_ns
     return {
-        "peak_entries": report.peak_entries,
-        "peak_bytes_fp16": report.bytes_at_peak("fp16", head_dim),
-        "peak_bytes_fp32": report.bytes_at_peak("fp32", head_dim),
-        "savings_vs_full": report.savings,
+        "peak_entries": peak_entries,
+        "peak_bytes_fp16": peak_fp16,
+        "peak_bytes_fp32": peak_fp32,
+        "savings_vs_full": 1.0 - peak_entries / full_peak,
         "mean_flops_per_step": float(flops.mean()),
-        "mean_flops_last_half": float(flops[half:].mean()),
+        "mean_flops_last_half": float(flops[len(flops) // 2 :].mean()),
         "total_step_ns": total_ns,
         "steps_per_s": len(flops) / (total_ns / 1e9),
         "throughput_ratio": throughput.ratio,

@@ -103,7 +103,12 @@ class DecodeState:
 def synth_condition(cfg: ModelConfig) -> list[int]:
     """Deterministic conditional ids for CLI runs; stream [seed, 1]."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    return rng.integers(0, cfg.vocab, size=cfg.cond_len).tolist()
+    try:
+        return rng.integers(0, cfg.vocab, size=cfg.cond_len).tolist()
+    except MemoryError:
+        raise ConfigError(
+            "model-too-large", f"cannot allocate a conditional length of {cfg.cond_len} tokens"
+        ) from None
 
 
 class RasterDecoder:
@@ -162,7 +167,14 @@ class RasterDecoder:
             raise ConfigError("token-out-of-vocab", f"ids must be in [0, {self.cfg.vocab})")
         mc = self.cfg
         block = (mc.layers, mc.kv_heads, len(cond), mc.head_dim)
-        cond_k, cond_v = np.empty(block), np.empty(block)
+        try:
+            cond_k, cond_v = np.empty(block), np.empty(block)
+        except MemoryError:
+            raise ConfigError(
+                "model-too-large",
+                f"cannot allocate the conditional block of {mc.layers} layers x {mc.kv_heads} "
+                f"kv heads x a conditional length of {len(cond)} x {mc.head_dim} dimensions",
+            ) from None
         for j, tok in enumerate(cond):
             x = self.embed[tok]
             for li, lw in enumerate(self.layers):

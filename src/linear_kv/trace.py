@@ -270,6 +270,8 @@ class DecodeTrace:
                         width, total = config["width"], config["height"] * config["width"]
                         # headers that name no model, as in hand-built traces, skip the replay
                         if "layers" in config:
+                            if not 0 <= _int(config["n_init"], "n_init") <= total:
+                                raise ValueError(f"n_init {config['n_init']} outside [0, {total}]")
                             cached = _CachedPositions(config)
                     elif kind == "step":
                         i, line, span = (_int(rec[k], k) for k in ("i", "line", "span"))

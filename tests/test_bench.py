@@ -2,7 +2,10 @@
 and a small end-to-end sweep."""
 
 import csv
+import hashlib
 import math
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +14,7 @@ from linear_kv import bench
 from linear_kv.baselines import make_policy
 from linear_kv.bench import (
     SUMMARY_METRICS,
-    entries_per_step,
     flops_per_step,
-    full_cache_entries,
-    memory_report,
     run_sweep,
     split_half_throughput,
     step_rows,
@@ -27,6 +27,7 @@ from linear_kv.oracles import full_cache_flops_reference
 from linear_kv.trace import DecodeTrace, StepRecord
 
 SMALL = ModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=9)
+GQA = ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=4, seed=9)
 
 
 def run(height=4, width=4, rho=Fraction(1), policy="full", model=SMALL):
@@ -87,28 +88,27 @@ class TestFlops:
 
 class TestEntries:
     def test_full_run_entry_curve(self):
-        trace = run()
-        entries = entries_per_step(trace)
+        rows = step_rows(run(), "full", Fraction(1))
         layers, kv_heads, cond = 2, 2, 4
-        for i, value in enumerate(entries):
-            assert value == layers * kv_heads * (cond + i)
-        assert (entries == full_cache_entries(trace)).all()
+        assert len(rows) == 16
+        for i, row in enumerate(rows):
+            assert row[3] == layers * kv_heads * (cond + i)
 
-    def test_memory_report_full_has_no_savings(self):
-        report = memory_report(run())
-        assert report.peak_entries == report.full_peak_entries
-        assert report.savings == 0.0
+    def test_full_run_has_no_savings(self):
+        stats = summarize(run())
+        assert stats["peak_entries"] == 2 * 2 * (4 + 15)
+        assert stats["savings_vs_full"] == 0.0
 
-    def test_memory_report_compressed_saves(self):
-        report = memory_report(run(height=8, width=8, rho=Fraction(1, 2), policy="lineattn"))
-        assert 0.0 < report.savings < 1.0
-        assert report.peak_entries < report.full_peak_entries
+    def test_compressed_run_saves(self):
+        stats = summarize(run(height=8, width=8, rho=Fraction(1, 2), policy="lineattn"))
+        assert 0.0 < stats["savings_vs_full"] < 1.0
+        assert stats["peak_entries"] < summarize(run(height=8, width=8))["peak_entries"]
 
     def test_bytes_at_peak(self):
-        report = memory_report(run())
-        # 2 scalars per entry pair member, head_dim wide
-        assert report.bytes_at_peak("fp16", 8) == report.peak_entries * 2 * 8 * 2
-        assert report.bytes_at_peak("fp32", 8) == report.peak_entries * 2 * 8 * 4
+        stats = summarize(run())
+        # keys and values, head_dim scalars each
+        assert stats["peak_bytes_fp16"] == stats["peak_entries"] * 2 * 8 * 2
+        assert stats["peak_bytes_fp32"] == stats["peak_entries"] * 2 * 8 * 4
 
 
 class TestSplitHalf:
@@ -207,17 +207,56 @@ class TestSweep:
         assert keys == [(*cell, metric) for cell in cells for metric in SUMMARY_METRICS]
 
     def test_step_rows_match_oracle(self):
-        trace = run(height=8, width=4, rho=Fraction(1, 2), policy="lineattn")
+        # grouped-query attention, so entries (kv heads) and flops (query
+        # heads) take different head counts
+        trace = run(height=8, width=4, rho=Fraction(1, 2), policy="lineattn", model=GQA)
         rows = step_rows(trace, "lineattn", Fraction(1, 2))
-        flops = flops_per_step(trace)
-        entries = entries_per_step(trace)
-        for i, row in enumerate(rows):
-            assert row[0] == i
-            assert row[3] == int(entries[i])
-            assert row[4] * 2 == row[5]  # fp32 doubles fp16
-            assert row[6] == int(flops[i])
+        assert len(rows) == len(trace.steps)
+        for i, (row, step) in enumerate(zip(rows, trace.steps)):
+            entries = 2 * 2 * step.span
+            assert row[:7] == [
+                i, "lineattn", "1/2", entries, entries * 2 * 8 * 2, entries * 2 * 8 * 4,
+                2 * 2 * 4 * 8 * step.span,
+            ]
+            assert row[7] == step.step_ns
+        assert [row[6] for row in rows] == flops_per_step(trace).tolist()
 
     def test_summarize_metric_set(self):
         stats = summarize(run())
         assert set(stats) == set(SUMMARY_METRICS)
         assert stats["steps_per_s"] > 0
+
+
+TIMING_METRICS = (b"total_step_ns", b"steps_per_s", b"throughput_ratio")
+
+
+def _timing_free(name: str, data: bytes) -> bytes:
+    """A ``bench`` output without its timings: the summary rows of the three
+    timing metrics dropped, the step files' last column (``step_ns``) cut."""
+    lines = data.splitlines(keepends=True)
+    if name == "summary.csv":
+        return b"".join(line for line in lines if line.split(b",")[3] not in TIMING_METRICS)
+    return b"".join(re.sub(rb",[^,]*(?=\r\n$)", b"", line) for line in lines)
+
+
+def test_sweep_outputs_match_pinned_digest(tmp_path):
+    # recorded with the cost accounting that worked its per-span
+    # coefficients out in each span function: a GQA model (4 query heads
+    # over 2 kv heads), two compressing policies at two ratios and the full
+    # cache, over two seeds
+    run_sweep(
+        GridSpec(8, 4),
+        rhos=[Fraction(1, 2), Fraction(3, 4)],
+        policies=["lineattn", "h2o", "full"],
+        seeds=[0, 1],
+        model=GQA,
+        out_dir=str(tmp_path),
+        recent_lines=1,
+    )
+    names = sorted(os.listdir(tmp_path))
+    assert len(names) == 2 * 5 + 1  # (2 policies x 2 ratios + full) x seeds, and the summary
+    digest = hashlib.sha256()
+    for name in names:
+        with open(tmp_path / name, "rb") as fh:
+            digest.update(name.encode() + b"\0" + _timing_free(name, fh.read()))
+    assert digest.hexdigest() == "307dd47a06b99da343f3152b6587e7628d1715a7947aeaf30e6b12161b865072"

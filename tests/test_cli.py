@@ -198,7 +198,18 @@ def _short_payload(path):
     _edit_probs(path, lambda old: base64.b64encode(base64.b64decode(old)[8:]).decode())
 
 
-@pytest.mark.parametrize("damage", [_truncate, _bad_base64, _short_payload])
+def _huge_n_init(path):
+    # an anchor count the grid cannot hold, far past any allocation
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0])
+    header["config"]["n_init"] = 10**12
+    lines[0] = json.dumps(header) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _bad_base64, _short_payload, _huge_n_init])
 def test_analyze_corrupt_trace_is_usage_error(tmp_path, capsys, damage):
     path = _traced_run(tmp_path)
     damage(path)
@@ -420,8 +431,13 @@ sys.exit(main(sys.argv[1:]))
         (["--vocab", "1000000000000"], "vocabulary of 1000000000000"),
         (["--head-dim", "100000000"], "dimension 100000000"),
         (["--grid", "100000x100000", "--rho", "1"], "10000000008 entries"),
+        (
+            ["--cond-len", "3000000", "--layers", "1", "--grid", "4x4", "--rho", "1"],
+            "conditional length of 3000000 ",
+        ),
+        (["--cond-len", "1000000000"], "conditional length of 1000000000 "),
     ],
-    ids=["vocab", "head-dim", "cache"],
+    ids=["vocab", "head-dim", "cache", "cond-block", "condition"],
 )
 def test_model_too_large_is_a_coded_error(tmp_path, flags, named):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(linear_kv.__file__))}

@@ -444,6 +444,19 @@ class TestRejectedFiles:
         message = _expect("trace-corrupt", tmp_path, records)
         assert f":{at + 1}: ValueError: span leaves" in message
 
+    @pytest.mark.parametrize(
+        "n_init",
+        [None, "2", 2.0, True, -1, 17, 10**12],
+        ids=["missing", "text", "float", "bool", "negative", "past-the-grid", "huge"],
+    )
+    def test_bad_header_n_init(self, tmp_path, n_init):
+        records = _records(make_trace())
+        if n_init is None:
+            del records[0]["config"]["n_init"]
+        else:
+            records[0]["config"]["n_init"] = n_init
+        assert ":1: " in _expect("trace-corrupt", tmp_path, records)
+
     @pytest.mark.parametrize("drop", [0, 5])
     def test_attention_on_some_steps_only(self, tmp_path, drop):
         records = _records(make_trace(trace_attention=True))
