@@ -4,9 +4,11 @@ Each layer owns one fixed-capacity block per array: keys and values of shape
 ``(kv_heads, cond_len + capacity, head_dim)`` and positions of shape
 ``(kv_heads, capacity)``, with one length shared by the layer's kv heads.
 Heads may evict different entries, but every head evicts the same number,
-so their lengths never diverge. The conditional block is a read-only prefix
-of the key and value arrays; eviction indices count from the end of it, so
-no index can reach it. Positions are original raster indices and stay
+so their lengths never diverge. The conditional block is the prefix of the
+key and value arrays: before the first append, :meth:`VisualKVCache.span`
+is exactly that block, and prefill writes it there. Nothing writes it
+afterwards, since appends land after it and eviction indices count from its
+end, so no index can reach it. Positions are original raster indices and stay
 strictly increasing through any append/compact sequence. Every compression
 finds the store exactly full, so the anchor / mid / recent split is one
 fixed pair of slice bounds, the same for every layer, head and line.
@@ -66,40 +68,13 @@ class VisualKVCache:
             raise ConfigError(
                 "model-too-large",
                 f"cannot allocate a cache of {layers} layers x {kv_heads} kv heads x "
-                f"{cond_len + capacity} entries x {head_dim} dimensions",
+                f"{cond_len + capacity} entries (a conditional length of {cond_len} plus "
+                f"{capacity} visual) x {head_dim} dimensions",
             ) from None
         self._len = [0] * layers
         # last appended position per layer; every head receives it, so no
         # head holds a later one
         self.last_position = [-1] * layers
-        self._cond_set = [False] * layers
-
-    # -- conditional block ---------------------------------------------------
-
-    def set_conditional(self, layer: int, keys, values) -> None:
-        """Install one layer's conditional block, ``(kv_heads, cond_len, d)``. Once per layer."""
-        if self._cond_set[layer]:
-            raise LinearKVError("conditional-already-set", f"layer {layer}")
-        k = np.asarray(keys, dtype=np.float64)
-        v = np.asarray(values, dtype=np.float64)
-        want = (self.kv_heads, self.cond_len, self.head_dim)
-        if k.shape != want or v.shape != want:
-            raise LinearKVError(
-                "shape-mismatch", f"conditional block {k.shape} / {v.shape}, expected {want}"
-            )
-        self._keys[layer][:, : self.cond_len] = k
-        self._values[layer][:, : self.cond_len] = v
-        self._cond_set[layer] = True
-
-    def conditional(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of one layer's conditional keys and values."""
-        k = self._keys[layer][:, : self.cond_len]
-        v = self._values[layer][:, : self.cond_len]
-        k.flags.writeable = False
-        v.flags.writeable = False
-        return k, v
-
-    # -- visual block --------------------------------------------------------
 
     def visual_len(self, layer: int, head: int) -> int:
         return self._len[layer]
@@ -107,10 +82,6 @@ class VisualKVCache:
     def positions(self, layer: int) -> np.ndarray:
         """Raster positions of one layer's entries, ``(kv_heads, n)``."""
         return self._positions[layer][:, : self._len[layer]]
-
-    def keys(self, layer: int) -> np.ndarray:
-        """Visual keys of one layer, ``(kv_heads, n, d)``, indexed like positions."""
-        return self._keys[layer][:, self.cond_len : self.cond_len + self._len[layer]]
 
     def span(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values a decode step attends over: conditional block then visual."""
@@ -202,15 +173,19 @@ class VisualKVCache:
         return positions
 
     def snapshot(self) -> dict:
-        """JSON-ready cache state.
+        """JSON-ready cache state, laid out by :func:`snapshot_layout`."""
+        return snapshot_layout(self.cond_len, map(self.positions, range(self.layers)))
 
-        Layout::
 
-            {"schema": 1, "cond_len": C,
-             "heads": {"<layer>:<head>": {"length": n, "positions": [...]}}}
-        """
-        heads = {}
-        for layer in range(self.layers):
-            for head, row in enumerate(self.positions(layer).tolist()):
-                heads[f"{layer}:{head}"] = {"length": len(row), "positions": row}
-        return {"schema": SNAPSHOT_SCHEMA, "cond_len": self.cond_len, "heads": heads}
+def snapshot_layout(cond_len: int, rows) -> dict:
+    """The JSON-ready state of a cache whose kv head ``h`` of layer ``l``
+    holds the positions ``rows[l][h]``, a 1-D int array. Layout::
+
+        {"schema": 1, "cond_len": C,
+         "heads": {"<layer>:<head>": {"length": n, "positions": [...]}}}
+    """
+    heads = {}
+    for layer, layer_rows in enumerate(rows):
+        for head, row in enumerate(layer_rows):
+            heads[f"{layer}:{head}"] = {"length": len(row), "positions": row.tolist()}
+    return {"schema": SNAPSHOT_SCHEMA, "cond_len": cond_len, "heads": heads}

@@ -159,43 +159,34 @@ class RasterDecoder:
         policy: EvictionPolicy,
         trace_attention: bool = False,
     ) -> DecodeState:
-        """Process the conditional tokens causally and freeze their KV block."""
+        """Process the conditional tokens causally, writing their keys and
+        values into the new cache's conditional block."""
         cond = [int(t) for t in cond_tokens]
         if not cond:
             raise LinearKVError("empty-condition", "need at least one conditional token")
         if any(not 0 <= t < self.cfg.vocab for t in cond):
             raise ConfigError("token-out-of-vocab", f"ids must be in [0, {self.cfg.vocab})")
         mc = self.cfg
-        block = (mc.layers, mc.kv_heads, len(cond), mc.head_dim)
-        try:
-            cond_k, cond_v = np.empty(block), np.empty(block)
-        except MemoryError:
-            raise ConfigError(
-                "model-too-large",
-                f"cannot allocate the conditional block of {mc.layers} layers x {mc.kv_heads} "
-                f"kv heads x a conditional length of {len(cond)} x {mc.head_dim} dimensions",
-            ) from None
+        cache = VisualKVCache(mc.layers, mc.kv_heads, mc.head_dim, len(cond), cfg.budget)
         for j, tok in enumerate(cond):
             x = self.embed[tok]
             for li, lw in enumerate(self.layers):
+                # before the first append, the span is this layer's conditional block
+                keys, values = cache.span(li)
                 heads_out = np.zeros((mc.heads, 1, mc.head_dim))
                 if j > 0:
                     # one matrix-vector product per query head, batched: each
                     # head's block is expanded from its kv head, which keeps
                     # the per-head arithmetic of an unbatched loop
                     q = (x @ lw.wq).reshape(mc.heads, mc.head_dim, 1)
-                    kc = np.repeat(cond_k[li, :, :j], mc.group_size, axis=0)
-                    vc = np.repeat(cond_v[li, :, :j], mc.group_size, axis=0)
+                    kc = np.repeat(keys[:, :j], mc.group_size, axis=0)
+                    vc = np.repeat(values[:, :j], mc.group_size, axis=0)
                     probs = softmax_inplace((kc @ q).transpose(0, 2, 1) * self.scale)
                     heads_out = probs @ vc
-                cond_k[li, :, j] = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
-                cond_v[li, :, j] = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
+                keys[:, j] = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
+                values[:, j] = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
                 x = x + heads_out.reshape(-1) @ lw.wo
                 x = x + np.tanh(x @ lw.w1) @ lw.w2
-        capacity = cfg.budget if cfg.rho < 1 else spec.total
-        cache = VisualKVCache(mc.layers, mc.kv_heads, mc.head_dim, len(cond), capacity)
-        for li in range(mc.layers):
-            cache.set_conditional(li, cond_k[li], cond_v[li])
         policy.bind(cache, spec, cfg, mc.seed)
         return DecodeState(
             spec=spec,

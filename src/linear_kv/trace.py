@@ -9,10 +9,11 @@ File layout, one JSON object per line, in chronological order::
      "evicted_positions": [...], "post_len": 16}
     {"record": "summary", "final_hidden": [...], "cache": {...}}
 
-Steps are numbered consecutively from 0, step ``i`` lies on line
-``i // width + 1``, and a trace holds exactly ``height * width`` of them.
-Eviction records follow their line's last step. ``step_ns`` is the only
-timing field anywhere in the file. Headers carry no clock data at all.
+The header comes first and the summary last, once each. Steps are numbered
+consecutively from 0, step ``i`` lies on line ``i // width + 1``, and a trace
+holds exactly ``height * width`` of them; eviction records follow their line's
+last step. ``step_ns`` is the only timing field anywhere in the file. Headers
+carry no clock data at all.
 
 One encoder, :meth:`DecodeTrace.lines`, makes every byte: each record's
 line, its keys sorted. :meth:`DecodeTrace.write` streams the lines record
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache import snapshot_layout
 from .errors import LinearKVError
 from .policy import EvictionEvent
 
@@ -160,6 +162,11 @@ class _CachedPositions:
         self.rows[ev.layer, ev.head, : ev.post_len] = np.delete(row, at)
         self.lens[ev.layer, ev.head] = ev.post_len
 
+    def snapshot(self, cond_len: int) -> dict:
+        """The replayed cache in :meth:`VisualKVCache.snapshot`'s layout."""
+        rows = ([row[:n] for row, n in zip(*layer)] for layer in zip(self.rows, self.lens))
+        return snapshot_layout(cond_len, rows)
+
 
 def _by_last_step(evictions, width: int) -> dict[int, list[EvictionEvent]]:
     """Eviction records keyed by the index of their line's last step."""
@@ -240,17 +247,26 @@ class DecodeTrace:
     def read(cls, path: str) -> "DecodeTrace":
         """Parse and validate a trace file. A file that cannot be opened
         raises ``io-error``; malformed JSON, payloads or record order, and
-        eviction records or spans that disagree with the rebuilt cache, raise
-        ``trace-corrupt`` with the offending line number."""
+        eviction records, spans, visual lengths or a summary that disagree
+        with the rebuilt cache, raise ``trace-corrupt`` with the offending
+        line number."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise LinearKVError("io-error", f"cannot read {path}: {exc.strerror}") from None
         header, summary, steps, evictions, lineno = None, None, [], [], 0
         cached = traced = None
+        step_line = 0  # the line of the last step read
 
-        def corrupt(message):
-            return LinearKVError("trace-corrupt", f"{path}:{lineno}: {message}")
+        def corrupt(message, at=None):
+            return LinearKVError("trace-corrupt", f"{path}:{at or lineno}: {message}")
+
+        def check_visual_len(held):
+            # the last step's store length, once its line's evictions are applied
+            if steps and np.any(held != steps[-1].visual_len):
+                held = sorted(set(np.ravel(held).tolist()))
+                message = f"step {len(steps) - 1} visual_len {steps[-1].visual_len}"
+                raise corrupt(f"{message}, the cache holds {held}", step_line)
 
         with fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -259,6 +275,8 @@ class DecodeTrace:
                 try:
                     rec = json.loads(raw)
                     kind = rec["record"]
+                    if summary is not None:
+                        raise corrupt(f"{kind!r} record after the summary")
                     if header is None:
                         if kind != "header":
                             raise LinearKVError("trace-missing-header", path)
@@ -284,6 +302,7 @@ class DecodeTrace:
                             raise corrupt("attention on some steps and not on others")
                         if cached is not None:
                             cached.step(i, span - config["cond_len"])
+                            check_visual_len(span - config["cond_len"])
                         if attn is not None:
                             if len(attn) != config["layers"]:
                                 raise ValueError(
@@ -296,6 +315,7 @@ class DecodeTrace:
                             _int(rec["visual_len"], "visual_len"),
                             _int(rec.get("step_ns"), "step_ns", nullable=True), attn,
                         ))
+                        step_line = lineno
                     elif kind == "eviction":
                         positions = rec["evicted_positions"]
                         if type(positions) is not list:
@@ -311,17 +331,29 @@ class DecodeTrace:
                             cached.evict(ev)
                         evictions.append(ev)
                     elif kind == "summary":
-                        summary = rec
+                        if len(steps) != total:
+                            raise corrupt(f"{len(steps)} steps, expected {total}")
                         hidden = rec.get("final_hidden")
                         final_hidden = None if hidden is None else np.asarray(hidden, np.float64)
+                        if cached is not None:
+                            check_visual_len(cached.lens)
+                            # compared as bytes, so that no float or bool passes for an int
+                            snapshot = _JSON.encode(cached.snapshot(config["cond_len"]))
+                            if "cache" in rec and _JSON.encode(rec["cache"]) != snapshot:
+                                raise corrupt("cache snapshot disagrees with the replayed cache")
+                            want = (config["heads"] * config["head_dim"],)
+                            if final_hidden is not None and final_hidden.shape != want:
+                                shape = final_hidden.shape
+                                raise corrupt(f"final_hidden of shape {shape}, not {want}")
+                        summary = rec
+                    else:
+                        raise corrupt(f"unexpected {kind!r} record")
                 except (
                     ValueError, KeyError, TypeError, ArithmeticError, RecursionError, MemoryError
                 ) as exc:
                     raise corrupt(f"{type(exc).__name__}: {exc}") from None
         if header is None:
             raise LinearKVError("trace-missing-header", path)
-        if len(steps) != total:
-            raise corrupt(f"{len(steps)} steps, expected {total}")
         if summary is None:
             raise corrupt("no summary record")
         return cls(header, steps, evictions, final_hidden, summary.get("cache"))

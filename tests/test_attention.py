@@ -158,6 +158,7 @@ class TestDecoderAttention:
                 x = x + np.array(heads_out) @ lw.wo
                 x = x + np.tanh(x @ lw.w1) @ lw.w2
         for li in range(mc.layers):
-            got_k, got_v = state.cache.conditional(li)
+            # before the first decode step the span is exactly the conditional block
+            got_k, got_v = state.cache.span(li)
             np.testing.assert_allclose(got_k, keys[li], rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_v, values[li], rtol=0, atol=1e-12)

@@ -48,7 +48,7 @@ class TestAppend:
     def test_values_survive_growth(self):
         # the store fills to its fixed capacity and one more append is refused
         cache = make_cache(list(range(40)))
-        np.testing.assert_allclose(cache.keys(0)[0, :, 0], np.arange(40, dtype=float))
+        np.testing.assert_allclose(cache.span(0)[0][0, :, 0], np.arange(40, dtype=float))
         with pytest.raises(LinearKVError) as err:
             cache.append(0, np.zeros((1, 4)), np.zeros((1, 4)), 40)
         assert err.value.code == "cache-full"
@@ -132,7 +132,7 @@ class TestCompact:
         assert pos == [p for p in range(24) if p not in set(evicted)]
         assert pos == sorted(pos)
         # payloads moved with their positions
-        np.testing.assert_allclose(cache.keys(0)[0, :, 0], pos)
+        np.testing.assert_allclose(cache.span(0)[0][0, :, 0], pos)
 
     def test_partition_blocks_protected_indices(self):
         cache = make_cache(list(range(24)))
@@ -165,8 +165,8 @@ class TestCompact:
         gone = cache.compact(0, slice(1, 5), [[1, 2], [3, 4]])
         assert gone.tolist() == [[1, 2], [3, 4]]
         assert cache.positions(0).tolist() == [[0, 3, 4, 5], [0, 1, 2, 5]]
-        assert cache.keys(0)[:, :, 0].tolist() == [[0, 3, 4, 5], [10, 11, 12, 15]]
-        _, values = cache.span(0)
+        keys, values = cache.span(0)
+        assert keys[:, :, 0].tolist() == [[0, 3, 4, 5], [10, 11, 12, 15]]
         assert values[:, :, 0].tolist() == [[0, -3, -4, -5], [-10, -11, -12, -15]]
 
     def test_heads_disagreeing_on_regions_rejected(self):
@@ -211,32 +211,29 @@ class TestCompact:
 
 
 class TestConditional:
-    def test_block_is_immutable_and_separate(self):
+    def test_block_is_the_span_before_any_append(self):
         cache = VisualKVCache(1, 1, 4, 3, 4)
-        cache.set_conditional(0, np.ones((1, 3, 4)), np.zeros((1, 3, 4)))
         assert cache.cond_len == 3
-        k, _ = cache.conditional(0)
-        with pytest.raises(ValueError):
-            k[0, 0, 0] = 9.0
-        with pytest.raises(LinearKVError) as err:
-            cache.set_conditional(0, np.ones((1, 3, 4)), np.zeros((1, 3, 4)))
-        assert err.value.code == "conditional-already-set"
-        # visual entries live after the block and leave it untouched
-        cache.append(0, np.full((1, 4), 7.0), np.full((1, 4), 7.0), 0)
-        np.testing.assert_array_equal(cache.conditional(0)[0], np.ones((1, 3, 4)))
-        np.testing.assert_array_equal(cache.keys(0), np.full((1, 1, 4), 7.0))
-
-    def test_lengths_must_agree_across_heads(self):
-        cache = VisualKVCache(1, 2, 4, 3, 4)
-        with pytest.raises(LinearKVError) as err:
-            cache.set_conditional(0, np.ones((2, 2, 4)), np.zeros((2, 2, 4)))
-        assert err.value.code == "shape-mismatch"
+        keys, values = cache.span(0)
+        assert keys.shape == values.shape == (1, 3, 4)
+        # written in place, as prefill writes it
+        keys[:], values[:] = 1.0, 0.0
+        # visual entries live after the block, and compaction leaves it untouched
+        for p in range(3):
+            cache.append(0, np.full((1, 4), 7.0 + p), np.full((1, 4), -7.0 - p), p)
+        cache.compact(0, slice(0, 3), [[1]])
+        keys, values = cache.span(0)
+        np.testing.assert_array_equal(keys[:, :3], np.ones((1, 3, 4)))
+        np.testing.assert_array_equal(values[:, :3], np.zeros((1, 3, 4)))
+        assert keys[0, 3:, 0].tolist() == [7.0, 9.0]
+        assert values[0, 3:, 0].tolist() == [-7.0, -9.0]
 
 
 class TestSnapshot:
     def test_layout(self):
         cache = VisualKVCache(1, 1, 4, 2, 4)
-        cache.set_conditional(0, np.ones((1, 2, 4)), np.ones((1, 2, 4)))
+        for block in cache.span(0):
+            block[:] = 1.0
         for p in (0, 1, 7):
             cache.append(0, np.zeros((1, 4)), np.zeros((1, 4)), p)
         snap = cache.snapshot()

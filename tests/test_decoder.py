@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linear_kv.baselines import make_policy
+from linear_kv.baselines import POLICY_NAMES, make_policy
 from linear_kv.decoder import DecodeState, ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import ConfigError, LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
@@ -26,16 +26,16 @@ def run(model=SMALL, spec=SPEC_8, rho=Fraction(3, 8), policy="lineattn", **kw):
 
 
 class TestPrefill:
-    def test_conditional_block_shape_and_freeze(self):
+    def test_conditional_block_shape(self):
         decoder = RasterDecoder(SMALL)
         cfg = budget_from_ratio(SPEC_8, Fraction(1))
         state = decoder.prefill([1, 2, 3], SPEC_8, cfg, make_policy("full"))
         assert state.cache.cond_len == 3
         for li in range(SMALL.layers):
-            k, v = state.cache.conditional(li)
+            # no visual entry yet, so the span is the conditional block
+            k, v = state.cache.span(li)
             assert k.shape == (SMALL.kv_heads, 3, SMALL.head_dim)
             assert v.shape == (SMALL.kv_heads, 3, SMALL.head_dim)
-            assert not k.flags.writeable and not v.flags.writeable
 
     def test_empty_condition_rejected(self):
         decoder = RasterDecoder(SMALL)
@@ -54,9 +54,24 @@ class TestPrefill:
     def test_same_seed_same_conditional_block(self):
         k1 = RasterDecoder(SMALL).prefill([5, 6], SPEC_8, budget_from_ratio(SPEC_8, Fraction(1)), make_policy("full"))
         k2 = RasterDecoder(SMALL).prefill([5, 6], SPEC_8, budget_from_ratio(SPEC_8, Fraction(1)), make_policy("full"))
-        a, _ = k1.cache.conditional(0)
-        b, _ = k2.cache.conditional(0)
-        np.testing.assert_array_equal(a, b)
+        for a, b in zip(k1.cache.span(0), k2.cache.span(0)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_decoding_leaves_the_conditional_block_as_prefill_wrote_it(self, policy):
+        mc = ModelConfig(layers=2, heads=4, kv_heads=2, head_dim=8, vocab=64, cond_len=3, seed=4)
+        spec = GridSpec(6, 4)
+        cfg = budget_from_ratio(spec, Fraction(1) if policy == "full" else Fraction(1, 2))
+        decoder = RasterDecoder(mc)
+        state = decoder.prefill(synth_condition(mc), spec, cfg, make_policy(policy))
+        before = [[a.copy() for a in state.cache.span(li)] for li in range(mc.layers)]
+        for _ in range(spec.total):
+            decoder.decode_step(state)
+        # every compressing policy appended past its budget and compacted
+        assert (policy == "full") == (not state.evictions)
+        for li in range(mc.layers):
+            for want, got in zip(before[li], state.cache.span(li)):
+                assert got[:, : mc.cond_len].tobytes() == want.tobytes()
 
 
 class TestSpans:

@@ -230,8 +230,8 @@ class TestLineScoring:
         rng = np.random.default_rng(29)
         d = 8
         cache = VisualKVCache(1, kv_heads, d, 5, FIG_CFG.budget)
-        cond = rng.normal(size=(2, kv_heads, 5, d))
-        cache.set_conditional(0, cond[0], cond[1])
+        for block in cache.span(0):
+            block[:] = rng.normal(size=(kv_heads, 5, d))
         policy = LineGuidedPolicy()
         policy.bind(cache, SPEC_8, FIG_CFG, seed=0)
         keys = rng.normal(size=(SPEC_8.total, kv_heads, d)) * 3
@@ -243,7 +243,7 @@ class TestLineScoring:
             mid = cache.partition(0, SPEC_8, FIG_CFG, line)
             # token-major, then the query heads of each kv head's group
             guide = queries.reshape(8, kv_heads, -1, d).swapaxes(0, 1).reshape(kv_heads, -1, d)
-            want = saliency(guide, cache.keys(0)[:, mid])
+            want = saliency(guide, cache.span(0)[0][:, cache.cond_len :][:, mid])
             np.testing.assert_allclose(policy.mass[0] / policy.rows[0], want, rtol=0, atol=1e-12)
             assert policy.end_of_line(cache, line)
 

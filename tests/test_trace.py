@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linear_kv.baselines import make_policy
+from linear_kv.cli import main
 from linear_kv.decoder import ModelConfig, RasterDecoder, synth_condition
 from linear_kv.errors import LinearKVError
 from linear_kv.grid import GridSpec, budget_from_ratio
@@ -127,6 +128,13 @@ class TestRoundTrip:
                         row = [p for p in row if p not in ev.evicted_positions]
                 cached = trace.cache_snapshot["heads"][f"{layer}:{head}"]["positions"]
                 assert row == cached
+
+    def test_header_light_trace_reads_back(self, tmp_path):
+        # its header names no model, so the summary is not checked against a replay
+        trace = _header_light_trace()
+        loaded = DecodeTrace.read(trace.write(str(tmp_path / "t.jsonl")))
+        assert loaded.dumps() == trace.dumps()
+        assert loaded.cache_snapshot == trace.cache_snapshot
 
     def test_replay_rejects_a_missing_eviction(self):
         trace = make_trace()
@@ -329,6 +337,17 @@ def _expect(code, tmp_path, records):
     return str(err.value)
 
 
+def _expect_corrupt_line(tmp_path, capsys, records, lineno):
+    """``read`` rejects the records at ``lineno``, and ``analyze`` of the same
+    file exits 2 with that one error line and no traceback."""
+    message = _expect("trace-corrupt", tmp_path, records)
+    assert f".jsonl:{lineno}: " in message
+    argv = ["analyze", "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "a")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    return message
+
+
 class TestRejectedFiles:
     def test_schema_1_is_rejected(self, tmp_path):
         # schema 1 stored the attention arrays as JSON number lists
@@ -481,6 +500,60 @@ class TestRejectedFiles:
             rec[key] = retype(rec[key])
         message = _expect("trace-corrupt", tmp_path, records)
         assert f":{at + 1}: " in message
+
+    @pytest.mark.parametrize(
+        "edit", ["bogus", "second-header", "summary-mid-file", "summary-twice"]
+    )
+    def test_record_out_of_order(self, tmp_path, capsys, edit):
+        records = _records(make_trace())
+        assert records[4]["i"] == 3
+        at = 5  # just after step 3
+        if edit == "bogus":
+            records.insert(at, {"record": "bogus"})
+        elif edit == "second-header":
+            records.insert(at, records[0])
+        elif edit == "summary-mid-file":
+            records.insert(at, records.pop())
+        else:
+            at = len(records)
+            records.append(records[-1])
+        _expect_corrupt_line(tmp_path, capsys, records, at + 1)
+
+    # checked once the step's line has applied its evictions: at the next
+    # step, or at the summary for the last one
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    @pytest.mark.parametrize("edit", ["step-2", "before-eviction", "last-step"])
+    def test_visual_len_disagrees_with_the_rebuilt_row(self, tmp_path, capsys, edit, traced):
+        records = _records(make_trace(traced))
+        steps = [i for i, r in enumerate(records) if r["record"] == "step"]
+        if edit == "step-2":
+            at = steps[2]
+            assert records[at]["visual_len"] == 3
+            records[at]["visual_len"] = 999
+        elif edit == "before-eviction":
+            # the length the line's last step held before its line evicted
+            at = next(i for i, r in enumerate(records) if r["record"] == "eviction") - 1
+            records[at]["visual_len"] += len(records[at + 1]["evicted_positions"])
+        else:
+            at = steps[-1]
+            records[at]["visual_len"] += 1
+        message = _expect_corrupt_line(tmp_path, capsys, records, at + 1)
+        assert f"step {records[at]['i']} visual_len {records[at]['visual_len']}" in message
+
+    @pytest.mark.parametrize("edit", ["row", "cond-len", "float-length", "final-hidden"])
+    def test_summary_disagrees_with_the_replay(self, tmp_path, capsys, edit):
+        records = _records(make_trace())
+        summary = records[-1]
+        heads = summary["cache"]["heads"]
+        if edit == "row":
+            heads["0:0"] = {"length": 5, "positions": [0, 1, 2, 3, 99]}
+        elif edit == "cond-len":
+            summary["cache"]["cond_len"] += 1
+        elif edit == "float-length":
+            heads["0:0"]["length"] = float(heads["0:0"]["length"])
+        else:
+            summary["final_hidden"] = [1.0]
+        _expect_corrupt_line(tmp_path, capsys, records, len(records))
 
     def test_untimed_steps_read_back(self, tmp_path):
         trace = make_trace()
