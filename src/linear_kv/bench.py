@@ -125,6 +125,25 @@ def summarize(trace: DecodeTrace) -> dict[str, float]:
     }
 
 
+def _sweep_seed(model: ModelConfig, spec: GridSpec, cells: dict) -> dict:
+    """Decode every ``{(policy, rho): BudgetConfig}`` cell on one decoder in
+    lockstep; returns each cell's step rows and summary. All of the cells'
+    caches are held at once, and released, with the decoder, on return."""
+    decoder = RasterDecoder(model)
+    cond = synth_condition(model)
+    states = [decoder.prefill(cond, spec, cfg, make_policy(p)) for (p, _), cfg in cells.items()]
+    steps = [[] for _ in states]
+    for _ in range(spec.total):
+        decoder.decode_steps(states)
+        for state, records in zip(states, steps):
+            records.append(state.step_record())
+    out = {}
+    for (policy_name, rho), state, records in zip(cells, states, steps):
+        trace = decoder.trace(state, records)
+        out[policy_name, rho] = step_rows(trace, policy_name, rho), summarize(trace)
+    return out
+
+
 def run_sweep(
     spec: GridSpec,
     rhos,
@@ -138,7 +157,10 @@ def run_sweep(
     """Run every distinct (policy, rho, seed) cell once, writing per-run step
     CSVs plus a long-format summary.csv. ``full`` always runs at rho one, so
     it is one cell whatever ``rhos`` holds. Each seed builds one decoder and
-    one condition for all of its cells. Returns the summary path."""
+    one condition, prefills all of its cells and decodes them in lockstep
+    (``RasterDecoder.decode_steps``), so every weight fetch serves each
+    cell's step; one seed's decoder and caches are freed before the next
+    seed's are built. Returns the summary path."""
     base = model if model is not None else ModelConfig()
     cells = {}
     for policy_name in policies:
@@ -150,14 +172,12 @@ def run_sweep(
     seeds = list(dict.fromkeys(seeds))
     stats = {}
     for seed in seeds:
-        mc = replace(base, seed=seed)
-        decoder = RasterDecoder(mc)
-        cond = synth_condition(mc)
-        for (policy_name, rho), cfg in cells.items():
-            trace = decoder.generate(cond, spec, cfg, make_policy(policy_name))
+        for (policy_name, rho), (rows, summary) in _sweep_seed(
+            replace(base, seed=seed), spec, cells
+        ).items():
             name = f"steps_{policy_name}_{_rho_slug(rho)}_seed{seed}.csv"
-            write_csv(os.path.join(out_dir, name), STEP_COLUMNS, step_rows(trace, policy_name, rho))
-            stats[policy_name, rho, seed] = summarize(trace)
+            write_csv(os.path.join(out_dir, name), STEP_COLUMNS, rows)
+            stats[policy_name, rho, seed] = summary
     summary_rows = [
         [policy_name, str(rho), seed, metric, stats[policy_name, rho, seed][metric]]
         for policy_name, rho in cells

@@ -99,6 +99,14 @@ class DecodeState:
     last_hidden: np.ndarray | None = None
     last_step: dict | None = None
 
+    def step_record(self) -> StepRecord:
+        """The trace record of the last step."""
+        info, i = self.last_step, self.position - 1
+        return StepRecord(
+            i, i // self.spec.width + 1, self.tokens[-1], info["span"], info["visual_len"],
+            info["step_ns"], info["attn"],
+        )
+
 
 def synth_condition(cfg: ModelConfig) -> list[int]:
     """Deterministic conditional ids for CLI runs; stream [seed, 1]."""
@@ -201,51 +209,129 @@ class RasterDecoder:
 
     def decode_step(self, state: DecodeState) -> int:
         """Emit one token and append one KV entry per layer/kv-head."""
-        if state.position >= state.spec.total:
-            raise LinearKVError(
-                "generation-complete", f"all {state.spec.total} positions generated"
-            )
+        return self.decode_steps([state])[0]
+
+    def decode_steps(self, states) -> list[int]:
+        """Advance every stream on this decoder by one step; returns their tokens.
+
+        Layer by layer, each group of weights (the query, key and value
+        projections, then the output projection, then each feed-forward
+        matrix, and last the unembedding) is applied to every stream's own
+        ``(dim,)`` vector in turn, so after the first stream it is read from
+        cache rather than memory. Attention, the policy's observation, the
+        cache append and the end of line run per stream, on that stream's own
+        cache and policy. Every product is the single-vector product of a
+        one-stream step, so no stream's bits depend on the others.
+
+        ``last_step["step_ns"]`` is the time of the sections that worked on
+        that stream alone plus an equal share of the per-matrix sections;
+        with one stream it is the step's wall time.
+        """
+        n = len(states)
+        if len(set(map(id, states))) != n:
+            raise LinearKVError("duplicate-stream", "a decode state advances once per step")
+        for state in states:
+            if state.position >= state.spec.total:
+                raise LinearKVError(
+                    "generation-complete", f"all {state.spec.total} positions generated"
+                )
+        if not n:
+            return []
         mc = self.cfg
-        policy = state.policy
-        cache = state.cache
-        p = state.position
-        span = cache.cond_len + cache.visual_len(0, 0)
-        prev = state.tokens[-1] if state.tokens else state.cond_tokens[-1]
-        x = self.embed[prev]
-        attn_trace = [] if state.trace_attention else None
         grouped = (mc.kv_heads, mc.group_size, mc.head_dim)
+        kv = (mc.kv_heads, mc.head_dim)
+        clock = time.perf_counter_ns
+        # a lone stream is charged the whole step, so it reads the clock twice
+        several = n > 1
+        own = [0] * n
+        start = t = clock()
+        # index loops over the streams, not comprehensions: in Python 3.11
+        # each comprehension is a function call, and a step would make 20
+        xs, spans, attn = [None] * n, [0] * n, [None] * n
+        for j in range(n):
+            state = states[j]
+            xs[j] = self.embed[state.tokens[-1] if state.tokens else state.cond_tokens[-1]]
+            spans[j] = state.cache.cond_len + state.cache.visual_len(0, 0)
+            if state.trace_attention:
+                attn[j] = []
+        qkv, outs, hs = [None] * n, [None] * n, [None] * n
         for li, lw in enumerate(self.layers):
-            q = (x @ lw.wq).reshape(mc.heads, mc.head_dim)
-            k = (x @ lw.wk).reshape(mc.kv_heads, mc.head_dim)
-            v = (x @ lw.wv).reshape(mc.kv_heads, mc.head_dim)
-            keys, values = cache.span(li)
-            # every query head of a kv head's group in one batched product
-            logits = (q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1)
-            probs = softmax_inplace(logits)
-            policy.observe_attention(li, probs)
-            heads_out = probs @ values
-            if attn_trace is not None:
-                attn_trace.append(probs.reshape(mc.heads, -1))
-            cache.append(li, k, v, p)
-            x = x + heads_out.reshape(-1) @ lw.wo
-            x = x + np.tanh(x @ lw.w1) @ lw.w2
-        token = int(np.argmax(x @ self.unembed))
-        state.tokens.append(token)
-        state.last_hidden = x
-        state.position = p + 1
-        events = None
-        if state.position % state.spec.width == 0:
-            line = state.position // state.spec.width
-            events = policy.end_of_line(cache, line)
-            if events:
-                state.evictions.extend(events)
-        state.last_step = {
-            "span": span,
-            "visual_len": cache.visual_len(0, 0),
-            "attn": attn_trace,
-            "events": events,
-        }
-        return token
+            for j in range(n):
+                x = xs[j]
+                qkv[j] = (x @ lw.wq, x @ lw.wk, x @ lw.wv)
+            if several:
+                t = clock()
+            for j in range(n):
+                state = states[j]
+                q, k, v = qkv[j]
+                keys, values = state.cache.span(li)
+                # every query head of a kv head's group in one batched product
+                logits = (q * self.scale).reshape(grouped) @ keys.transpose(0, 2, 1)
+                probs = softmax_inplace(logits)
+                state.policy.observe_attention(li, probs)
+                outs[j] = probs @ values
+                if attn[j] is not None:
+                    attn[j].append(probs.reshape(mc.heads, -1))
+                state.cache.append(li, k.reshape(kv), v.reshape(kv), state.position)
+                if several:
+                    now = clock()
+                    own[j] += now - t
+                    t = now
+            for j in range(n):
+                xs[j] = xs[j] + outs[j].reshape(-1) @ lw.wo
+            for j in range(n):
+                hs[j] = np.tanh(xs[j] @ lw.w1)
+            for j in range(n):
+                xs[j] = xs[j] + hs[j] @ lw.w2
+        tokens = [0] * n
+        for j in range(n):
+            tokens[j] = int(np.argmax(xs[j] @ self.unembed))
+        if several:
+            t = clock()
+        for j in range(n):
+            state = states[j]
+            cache = state.cache
+            state.tokens.append(tokens[j])
+            state.last_hidden = xs[j]
+            state.position += 1
+            events = None
+            if state.position % state.spec.width == 0:
+                line = state.position // state.spec.width
+                events = state.policy.end_of_line(cache, line)
+                if events:
+                    state.evictions.extend(events)
+            state.last_step = {
+                "span": spans[j],
+                "visual_len": cache.visual_len(0, 0),
+                "attn": attn[j],
+                "events": events,
+            }
+            if several:
+                now = clock()
+                own[j] += now - t
+                t = now
+        shared = (clock() - start - sum(own)) // n
+        for j in range(n):
+            states[j].last_step["step_ns"] = own[j] + shared
+        return tokens
+
+    def trace(self, state: DecodeState, steps: list[StepRecord]) -> DecodeTrace:
+        """The trace of a finished stream, from its state and step records."""
+        spec, cfg = state.spec, state.cfg
+        config = {**asdict(spec), **asdict(cfg), **asdict(self.cfg)}
+        config.update(
+            rho=str(cfg.rho),
+            cond_len=len(state.cond_tokens),
+            policy=state.policy.name,
+            trace_attention=state.trace_attention,
+        )
+        return DecodeTrace(
+            header={"config": config, "rng": RNG_NAME, "weight_order": WEIGHT_ORDER},
+            steps=steps,
+            evictions=state.evictions,
+            final_hidden=state.last_hidden.copy(),
+            cache_snapshot=state.cache.snapshot(),
+        )
 
     def generate(
         self,
@@ -257,35 +343,8 @@ class RasterDecoder:
     ) -> DecodeTrace:
         """Run the full raster scan and assemble the trace."""
         state = self.prefill(cond_tokens, spec, cfg, policy, trace_attention)
-        config = {**asdict(spec), **asdict(cfg), **asdict(self.cfg)}
-        config.update(
-            rho=str(cfg.rho),
-            cond_len=len(state.cond_tokens),
-            policy=policy.name,
-            trace_attention=trace_attention,
-        )
-        header = {"config": config, "rng": RNG_NAME, "weight_order": WEIGHT_ORDER}
-        steps: list[StepRecord] = []
-        for i in range(spec.total):
-            t0 = time.perf_counter_ns()
-            token = self.decode_step(state)
-            elapsed = time.perf_counter_ns() - t0
-            info = state.last_step
-            steps.append(
-                StepRecord(
-                    index=i,
-                    line=i // spec.width + 1,
-                    token=token,
-                    span=info["span"],
-                    visual_len=info["visual_len"],
-                    step_ns=elapsed,
-                    attn=info["attn"],
-                )
-            )
-        return DecodeTrace(
-            header=header,
-            steps=steps,
-            evictions=state.evictions,
-            final_hidden=state.last_hidden.copy(),
-            cache_snapshot=state.cache.snapshot(),
-        )
+        steps = []
+        for _ in range(spec.total):
+            self.decode_step(state)
+            steps.append(state.step_record())
+        return self.trace(state, steps)

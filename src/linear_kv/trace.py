@@ -337,12 +337,15 @@ class DecodeTrace:
                         final_hidden = None if hidden is None else np.asarray(hidden, np.float64)
                         if cached is not None:
                             check_visual_len(cached.lens)
+                            missing = [k for k in ("final_hidden", "cache") if rec.get(k) is None]
+                            if missing:
+                                raise corrupt(f"summary lacks {' and '.join(missing)}")
                             # compared as bytes, so that no float or bool passes for an int
                             snapshot = _JSON.encode(cached.snapshot(config["cond_len"]))
-                            if "cache" in rec and _JSON.encode(rec["cache"]) != snapshot:
+                            if _JSON.encode(rec["cache"]) != snapshot:
                                 raise corrupt("cache snapshot disagrees with the replayed cache")
                             want = (config["heads"] * config["head_dim"],)
-                            if final_hidden is not None and final_hidden.shape != want:
+                            if final_hidden.shape != want:
                                 shape = final_hidden.shape
                                 raise corrupt(f"final_hidden of shape {shape}, not {want}")
                         summary = rec

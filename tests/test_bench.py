@@ -180,9 +180,9 @@ class TestSweep:
                 built.append(cfg.seed)
                 super().__init__(cfg)
 
-            def generate(self, cond_tokens, spec, cfg, policy, trace_attention=False):
+            def prefill(self, cond_tokens, spec, cfg, policy, trace_attention=False):
                 decoded.append((policy.name, cfg.rho, self.cfg.seed))
-                return super().generate(cond_tokens, spec, cfg, policy, trace_attention)
+                return super().prefill(cond_tokens, spec, cfg, policy, trace_attention)
 
         monkeypatch.setattr(bench, "RasterDecoder", CountingDecoder)
         summary = run_sweep(
@@ -205,6 +205,32 @@ class TestSweep:
             for seed in ("0", "1")
         ]
         assert keys == [(*cell, metric) for cell in cells for metric in SUMMARY_METRICS]
+
+    def test_lockstep_cells_are_each_timed(self, tmp_path):
+        # three cells of one seed share each step; each is charged its own
+        # sections plus a third of the shared ones
+        cells = [("lineattn", "1-2"), ("h2o", "1-2"), ("full", "1-1")]
+        summary = run_sweep(
+            GridSpec(8, 4),
+            rhos=[Fraction(1, 2)],
+            policies=["lineattn", "h2o", "full"],
+            seeds=[3],
+            model=GQA,
+            out_dir=str(tmp_path),
+            recent_lines=1,
+        )
+        for policy, slug in cells:
+            with open(tmp_path / f"steps_{policy}_{slug}_seed3.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 32
+            assert all(re.fullmatch(r"[1-9][0-9]*", row["step_ns"]) for row in rows)
+        with open(summary) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * len(SUMMARY_METRICS)
+        values = {(r["policy"], r["metric"]): float(r["value"]) for r in rows}
+        for policy, _ in cells:
+            assert values[policy, "total_step_ns"] > 0 and values[policy, "steps_per_s"] > 0
+            assert math.isfinite(values[policy, "throughput_ratio"])
 
     def test_step_rows_match_oracle(self):
         # grouped-query attention, so entries (kv heads) and flops (query

@@ -555,6 +555,28 @@ class TestRejectedFiles:
             summary["final_hidden"] = [1.0]
         _expect_corrupt_line(tmp_path, capsys, records, len(records))
 
+    @pytest.mark.parametrize(
+        "drop, named",
+        [(("final_hidden", "cache"), "final_hidden and cache"),
+         (("final_hidden",), "final_hidden"), (("cache",), "cache")],
+        ids=["both", "final-hidden", "cache"],
+    )
+    def test_summary_without_its_fields(self, tmp_path, capsys, drop, named):
+        # a header that names the model promises the summary generate writes
+        records = _records(make_trace())
+        for key in drop:
+            del records[-1][key]
+        if len(drop) == 2:
+            assert records[-1] == {"record": "summary"}
+        message = _expect_corrupt_line(tmp_path, capsys, records, len(records))
+        assert message.endswith(f"summary lacks {named}")
+
+    def test_header_light_summary_may_be_bare(self, tmp_path):
+        records = _records(_header_light_trace())
+        records[-1] = {"record": "summary"}
+        loaded = _read_records(tmp_path, records)
+        assert loaded.final_hidden is None and loaded.cache_snapshot is None
+
     def test_untimed_steps_read_back(self, tmp_path):
         trace = make_trace()
         for step in trace.steps:
